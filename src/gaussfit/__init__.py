@@ -54,8 +54,8 @@ from .initfit import (
     windowed_peak,
     write_erf_table_csv,
 )
-from .linfit import ls_fit, weighted_ls_solve, weights_from_params, wls_iterate, wls_trace
-from .methods import METHOD_IDS, MethodSpec, run_method, two_stage
+from .linfit import weighted_ls_solve, weights_from_params, wls_trace
+from .methods import METHOD_IDS, MethodSpec, reweighted_trace, run_method
 from .results import CONVERGED, DEGENERATE_FALLBACK, FAILED, FitResult, WlsStep, WlsTrace
 from .signal import (
     GaussianParams,

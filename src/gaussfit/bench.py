@@ -32,17 +32,10 @@ import numpy as np
 
 from . import rng
 from .errors import GaussFitError, ShapeError, UnknownMethodError
-from .initfit import ErfTable, InitConfig, build_erf_table, m3_initial_fit
-from .linfit import wls_trace
-from .methods import METHOD_IDS, MethodSpec, _raw_sample_weights, _run_m1, run_method
+from .initfit import ErfTable, InitConfig, build_erf_table
+from .methods import METHOD_IDS, MethodSpec, reweighted_trace, run_method
 from .results import CONVERGED
-from .signal import (
-    GaussianParams,
-    NoiseSpec,
-    SampledSignal,
-    eval_gaussian,
-    sample_gaussian,
-)
+from .signal import GaussianParams, NoiseSpec, SampledSignal, sample_gaussian
 
 __all__ = [
     "BenchConfig",
@@ -109,6 +102,8 @@ class BenchConfig:
                 raise UnknownMethodError(f"unknown method id {mid!r}")
         if not self.methods:
             raise GaussFitError("at least one method required")
+        if self.stage2_iters < 1 or self.m5_iters < 1:
+            raise GaussFitError("stage2_iters and m5_iters must be >= 1")
         if self.iter_sweep is not None:
             if not self.iter_sweep or any(k < 1 for k in self.iter_sweep):
                 raise GaussFitError("iteration sweep entries must be >= 1")
@@ -130,7 +125,7 @@ class BenchConfig:
             method_id=method_id,
             stage2_iters=self.stage2_iters,
             m5_iters=self.m5_iters,
-            init=InitConfig(window_l=self.window_l, clamp_floor=self.clamp_floor),
+            init=InitConfig(window_l=self.window_l),
             clamp_floor=self.clamp_floor,
         )
 
@@ -319,52 +314,32 @@ def _iters_point(config: BenchConfig, table: ErfTable):
     sweep = tuple(config.iter_sweep or ())
     max_iters = max(sweep)
     snr_db = config.fixed_snr_db
-    init_cfg = InitConfig(window_l=config.window_l, clamp_floor=config.clamp_floor)
+    specs = [config.method_spec(mid) for mid in config.methods]
     cells = {
         mid: {k: _CellAccumulator(config.trials) for k in sweep}
         for mid in config.methods
     }
     seeds = []
-
-    def record_constant(mid, t, estimate, truth, converged):
-        for k in sweep:
-            cells[mid][k].record(t, estimate, truth, converged)
-
     for t in range(config.trials):
         signal, truth, trial_seed = _trial_signal(config, 0, t, snr_db)
         seeds.append(trial_seed)
-        for mid in config.methods:
+        for spec in specs:
+            mid = spec.method_id
             t0 = time.perf_counter() if config.timing else 0.0
             try:
                 if mid in ("M1", "M3"):
                     # no iterative stage: constant across the sweep
-                    if mid == "M1":
-                        fit = _run_m1(signal)
-                    else:
-                        fit = m3_initial_fit(signal, init_cfg, table)
-                    record_constant(mid, t, fit.params, truth,
-                                    fit.status == CONVERGED)
+                    fit = run_method(spec, signal, table)
+                    outcomes = [(fit.params, fit.status == CONVERGED)] * len(sweep)
                 else:
-                    clean_start = True
-                    if mid == "M5":
-                        w0 = _raw_sample_weights(signal, config.clamp_floor)
-                    else:
-                        try:
-                            stage1 = (_run_m1(signal) if mid == "M2"
-                                      else m3_initial_fit(signal, init_cfg, table))
-                            w0 = eval_gaussian(stage1.params, signal.grid)
-                            clean_start = stage1.status == CONVERGED
-                        except GaussFitError:
-                            # same fallback as run_method: start from samples
-                            w0 = _raw_sample_weights(signal, config.clamp_floor)
-                            clean_start = False
-                    trace = wls_trace(signal, w0, max_iters, config.clamp_floor)
-                    for k in sweep:
-                        step = trace[k - 1]
-                        cells[mid][k].record(t, step.params, truth,
-                                             clean_start and step.params is not None)
+                    trace, status, _ = reweighted_trace(spec, signal, table, max_iters)
+                    steps = [trace[k - 1].params for k in sweep]
+                    outcomes = [(p, status == CONVERGED and p is not None)
+                                for p in steps]
             except GaussFitError:
-                record_constant(mid, t, None, truth, False)
+                outcomes = [(None, False)] * len(sweep)
+            for k, (estimate, converged) in zip(sweep, outcomes):
+                cells[mid][k].record(t, estimate, truth, converged)
             if config.timing:
                 dt = time.perf_counter() - t0
                 for k in sweep:
@@ -375,10 +350,11 @@ def _iters_point(config: BenchConfig, table: ErfTable):
 def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> BenchReport:
     """MSE versus reweighting iteration count at a fixed SNR.
 
-    One trace of ``max(iter_sweep)`` iterations per trial produces every
-    sweep point, so points within a trial share their noise.  Sweep points
-    where an iterate has no Gaussian form are counted degenerate for that
-    trial.
+    One trace of ``max(iter_sweep)`` iterations per trial, from
+    :func:`gaussfit.methods.reweighted_trace` like every M2/M4/M5 fit,
+    produces every sweep point, so points within a trial share their
+    noise.  Sweep points where an iterate has no Gaussian form are counted
+    degenerate for that trial.
     """
     if config.iter_sweep is None:
         raise GaussFitError("iter_sweep must be set for the iteration benchmark")

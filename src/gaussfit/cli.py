@@ -132,7 +132,7 @@ def _cmd_fit(args) -> int:
             math.isfinite(args.clamp_floor) and args.clamp_floor > 0
         ):
             raise GaussFitError(f"--clamp-floor must be > 0, got {args.clamp_floor}")
-        init = InitConfig(window_l=args.window_l, clamp_floor=args.clamp_floor)
+        init = InitConfig(window_l=args.window_l)
         kwargs = {"init": init, "clamp_floor": args.clamp_floor}
         if args.iters is not None:
             kwargs["stage2_iters"] = args.iters

@@ -7,6 +7,11 @@ Gaussian reconstructed from the previous iterate.  Row weights enter the
 design matrix and the observation vector alike, hence the ``w^2`` in the
 objective.
 
+Two entry points: :func:`weighted_ls_solve` is one solve (plain least
+squares is ``params_from_coeffs(weighted_ls_solve(signal, np.ones(n),
+floor))``), and :func:`wls_trace` runs the iteration and returns every
+iterate.
+
 Only a 3x3 system ever arises, so the normal equations are formed with
 the grid centered at its midpoint (which tames the Vandermonde-style
 conditioning) and solved by direct elimination with partial pivoting.
@@ -25,7 +30,7 @@ from .errors import (
     ShapeError,
     SingularSystemError,
 )
-from .results import CONVERGED, FitResult, WlsStep, WlsTrace
+from .results import WlsStep, WlsTrace
 from .signal import (
     LogPolyCoeffs,
     SampledSignal,
@@ -34,13 +39,7 @@ from .signal import (
     resolve_clamp_floor,
 )
 
-__all__ = [
-    "weighted_ls_solve",
-    "ls_fit",
-    "weights_from_params",
-    "wls_trace",
-    "wls_iterate",
-]
+__all__ = ["weighted_ls_solve", "weights_from_params", "wls_trace"]
 
 # Pivot threshold relative to the largest normal-matrix entry.
 _PIVOT_RTOL = 100.0 * np.finfo(np.float64).eps
@@ -127,13 +126,6 @@ def weighted_ls_solve(
     return _weighted_normal_solve(signal.grid, logs, w)
 
 
-def ls_fit(signal: SampledSignal, clamp_floor: float | None = None) -> FitResult:
-    """Plain least squares on the clamped log samples (all weights one)."""
-    coeffs = weighted_ls_solve(signal, np.ones(len(signal)), clamp_floor)
-    params = params_from_coeffs(coeffs)
-    return FitResult(params=params, coeffs=coeffs, iterations_run=1, status=CONVERGED)
-
-
 def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
     """Reconstructed Gaussian values ``exp(a + b x + c x^2)`` on the grid.
 
@@ -163,8 +155,10 @@ def wls_trace(
     valid weights, so the iteration continues through it; on noisy
     tail-heavy signals the reweighting routinely recovers a proper
     Gaussian within an iteration or two.  Such iterates appear in the
-    trace with ``params=None``.  Rank deficiency at any iteration raises
-    :class:`SingularSystemError` carrying the iteration index.
+    trace with ``params=None``; whether the last one must be a Gaussian is
+    the caller's decision.  Rank deficiency at any iteration raises
+    :class:`SingularSystemError` with ``stage="wls_trace"`` and the
+    iteration index.
     """
     if num_iters < 1:
         raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
@@ -177,7 +171,8 @@ def wls_trace(
         try:
             coeffs = _weighted_normal_solve(x, logs, w)
         except SingularSystemError as err:
-            raise SingularSystemError(str(err), iteration=i) from None
+            raise SingularSystemError(str(err), stage="wls_trace",
+                                      iteration=i) from None
         params = None
         try:
             params = params_from_coeffs(coeffs)
@@ -188,30 +183,3 @@ def wls_trace(
             w = weights_from_params(coeffs, x)
             w[~np.isfinite(w)] = 0.0
     return trace
-
-
-def wls_iterate(
-    signal: SampledSignal,
-    initial_weights,
-    num_iters: int,
-    clamp_floor: float | None = None,
-) -> tuple[FitResult, WlsTrace]:
-    """Reweighted least squares; the final iterate must be a Gaussian.
-
-    Same iteration as :func:`wls_trace`, plus the requirement that the
-    last iterate maps to valid parameters; otherwise
-    :class:`InvalidWidthError` is raised with the iteration index.
-    """
-    trace = wls_trace(signal, initial_weights, num_iters, clamp_floor)
-    last = trace[-1]
-    if last.params is None:
-        raise InvalidWidthError(
-            "final iterate does not describe a Gaussian", iteration=num_iters - 1
-        )
-    fit = FitResult(
-        params=last.params,
-        coeffs=last.coeffs,
-        iterations_run=num_iters,
-        status=CONVERGED,
-    )
-    return fit, trace

@@ -10,10 +10,13 @@ M5     iterative reweighted LS seeded with the clamped samples
        themselves as weights (default 12 iters)
 =====  ==========================================================
 
-The two-stage methods build their starting weights as the Gaussian
-described by the stage-1 estimate, frozen (the iteration does not re-pick
-the peak).  M2, M4 and M5 funnel through the same solver, so with equal
-starting weights and iteration counts their outputs are bit-identical.
+M2, M4 and M5 are one reweighting iteration started from three weight
+vectors; :func:`reweighted_trace` builds the start and runs
+:func:`gaussfit.linfit.wls_trace`, and both :func:`run_method` and the
+iteration sweep of :mod:`gaussfit.bench` go through it.  The two-stage
+methods start from the Gaussian described by the stage-1 estimate, frozen
+(the iteration does not re-pick the peak), so with equal starting weights
+and iteration counts the three outputs are bit-identical.
 """
 
 from __future__ import annotations
@@ -22,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GaussFitError, UnknownMethodError
+from .errors import GaussFitError, InvalidWidthError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, m3_initial_fit, naive_peak, sigma_area_m1
-from .linfit import wls_iterate
+from .linfit import wls_trace
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult, WlsTrace
 from .signal import (
     GaussianParams,
@@ -34,7 +37,7 @@ from .signal import (
     resolve_clamp_floor,
 )
 
-__all__ = ["METHOD_IDS", "MethodSpec", "run_method", "two_stage"]
+__all__ = ["METHOD_IDS", "MethodSpec", "reweighted_trace", "run_method"]
 
 METHOD_IDS = ("M1", "M2", "M3", "M4", "M5")
 
@@ -58,25 +61,6 @@ class MethodSpec:
             raise GaussFitError(f"m5_iters must be >= 1, got {self.m5_iters}")
 
 
-def _raw_sample_weights(signal: SampledSignal, clamp_floor: float | None) -> np.ndarray:
-    """Starting weights for M5: the clamped samples themselves."""
-    floor = resolve_clamp_floor(signal, clamp_floor)
-    return np.exp(log_transform(signal, floor))
-
-
-def two_stage(
-    init: GaussianParams,
-    signal: SampledSignal,
-    iters: int,
-    clamp_floor: float | None = None,
-) -> tuple[FitResult, WlsTrace]:
-    """Reweighted LS started from the Gaussian of a stage-1 estimate."""
-    if iters < 1:
-        raise GaussFitError(f"iters must be >= 1, got {iters}")
-    w0 = eval_gaussian(init, signal.grid)
-    return wls_iterate(signal, w0, iters, clamp_floor)
-
-
 def _run_m1(signal: SampledSignal) -> FitResult:
     peak = naive_peak(signal)
     sigma = sigma_area_m1(signal, peak.amplitude_hat)
@@ -91,6 +75,40 @@ def _run_m1(signal: SampledSignal) -> FitResult:
     )
 
 
+def reweighted_trace(
+    spec: MethodSpec, signal: SampledSignal, table: ErfTable, iters: int
+) -> tuple[WlsTrace, str, dict]:
+    """The reweighting iteration of M2, M4 or M5, run for ``iters`` steps.
+
+    M2 starts from the Gaussian of the M1 estimate, M4 from that of the M3
+    estimate, and M5 from the clamped samples.  When stage 1 of M2/M4
+    raises, the iteration starts from the samples like M5, the status is
+    ``degenerate-fallback`` and ``diagnostics["stage1_error"]`` says why;
+    otherwise status and diagnostics are those of stage 1.  Returns the
+    whole trace; errors of the iteration itself propagate.
+    """
+    mid = spec.method_id
+    if mid not in ("M2", "M4", "M5"):
+        raise GaussFitError(f"{mid} has no reweighting stage")
+    status, diagnostics = CONVERGED, {}
+    stage1 = None
+    if mid != "M5":
+        try:
+            stage1 = (_run_m1(signal) if mid == "M2"
+                      else m3_initial_fit(signal, spec.init, table))
+        except GaussFitError as err:
+            status = DEGENERATE_FALLBACK
+            diagnostics["stage1_error"] = str(err)
+    if stage1 is not None:
+        w0 = eval_gaussian(stage1.params, signal.grid)
+        status = stage1.status
+        diagnostics.update(stage1.diagnostics)
+    else:
+        floor = resolve_clamp_floor(signal, spec.clamp_floor)
+        w0 = np.exp(log_transform(signal, floor))
+    return wls_trace(signal, w0, iters, spec.clamp_floor), status, diagnostics
+
+
 def run_method(
     spec: MethodSpec, signal: SampledSignal, table: ErfTable
 ) -> FitResult:
@@ -98,7 +116,9 @@ def run_method(
 
     Stage errors propagate as typed :class:`GaussFitError` subclasses with
     stage labels, except that a failed stage 1 of M2/M4 falls back to the
-    M5 starting weights and flags the result ``degenerate-fallback``.
+    M5 starting weights and flags the result ``degenerate-fallback``.  The
+    last iterate of M2/M4/M5 must describe a Gaussian; otherwise
+    :class:`InvalidWidthError` is raised with its iteration index.
     """
     mid = spec.method_id
     if mid == "M1":
@@ -109,35 +129,17 @@ def run_method(
         result.method = "M3"
         return result
 
-    if mid == "M5":
-        w0 = _raw_sample_weights(signal, spec.clamp_floor)
-        fit, _ = wls_iterate(signal, w0, spec.m5_iters, spec.clamp_floor)
-        fit.method = "M5"
-        return fit
-
-    if mid in ("M2", "M4"):
-        stage1_error: GaussFitError | None = None
-        stage1 = None
-        try:
-            if mid == "M2":
-                stage1 = _run_m1(signal)
-            else:
-                stage1 = m3_initial_fit(signal, spec.init, table)
-        except GaussFitError as err:
-            stage1_error = err
-        if stage1 is not None:
-            fit, _ = two_stage(stage1.params, signal, spec.stage2_iters,
-                               spec.clamp_floor)
-            fit.diagnostics.update(stage1.diagnostics)
-            if stage1.status != CONVERGED:
-                fit.status = stage1.status
-        else:
-            # stage 1 had nothing usable: start from the samples like M5
-            w0 = _raw_sample_weights(signal, spec.clamp_floor)
-            fit, _ = wls_iterate(signal, w0, spec.stage2_iters, spec.clamp_floor)
-            fit.status = DEGENERATE_FALLBACK
-            fit.diagnostics["stage1_error"] = str(stage1_error)
-        fit.method = mid
-        return fit
-
-    raise UnknownMethodError(f"unknown method id {mid!r}")
+    iters = spec.m5_iters if mid == "M5" else spec.stage2_iters
+    trace, status, diagnostics = reweighted_trace(spec, signal, table, iters)
+    last = trace[-1]
+    if last.params is None:
+        raise InvalidWidthError("final iterate does not describe a Gaussian",
+                                stage="wls_trace", iteration=iters - 1)
+    return FitResult(
+        params=last.params,
+        coeffs=last.coeffs,
+        method=mid,
+        iterations_run=iters,
+        status=status,
+        diagnostics=diagnostics,
+    )

@@ -35,6 +35,7 @@ __all__ = [
     "log_transform",
     "default_clamp_floor",
     "read_signal_csv",
+    "read_two_column_csv",
     "write_signal_csv",
 ]
 
@@ -248,22 +249,25 @@ def write_signal_csv(signal: SampledSignal, path) -> None:
             fh.write(f"{xi:.17g},{yi:.17g}\n")
 
 
-def read_signal_csv(path) -> SampledSignal:
-    """Read an ``x,y`` CSV into a :class:`SampledSignal`.
+def read_two_column_csv(
+    path, names: tuple[str, str], min_rows: int
+) -> tuple[list[float], list[float]]:
+    """The two finite numeric columns of a CSV headed ``names``.
 
-    The header row is required, rows must be sorted by ``x``, and spacing
-    must be uniform to 1e-9 relative tolerance; ``delta_x`` is inferred
-    from the first two rows.
+    The header is compared case-insensitively and blank lines are
+    skipped.  Every failure is a :class:`ParseError` carrying the 1-based
+    line it concerns.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = [col.strip().lower() for col in lines[0].split(",")]
-    if header != ["x", "y"]:
-        raise ParseError(f"expected header 'x,y', got {lines[0]!r}", line=1)
-    xs: list[float] = []
-    ys: list[float] = []
+    if header != list(names):
+        raise ParseError(f"expected header {','.join(names)!r}, got {lines[0]!r}",
+                         line=1)
+    first: list[float] = []
+    second: list[float] = []
     for i, raw in enumerate(lines[1:], start=2):
         if not raw.strip():
             continue
@@ -271,14 +275,27 @@ def read_signal_csv(path) -> SampledSignal:
         if len(cells) != 2:
             raise ParseError(f"expected 2 columns, got {len(cells)}", line=i)
         try:
-            xs.append(float(cells[0]))
-            ys.append(float(cells[1]))
+            u, v = float(cells[0]), float(cells[1])
         except ValueError:
             raise ParseError(f"non-numeric row {raw!r}", line=i) from None
-        if not (math.isfinite(xs[-1]) and math.isfinite(ys[-1])):
+        if not (math.isfinite(u) and math.isfinite(v)):
             raise ParseError(f"non-finite row {raw!r}", line=i)
-    if len(xs) < 3:
-        raise ParseError(f"need at least 3 data rows, got {len(xs)}", line=len(lines))
+        first.append(u)
+        second.append(v)
+    if len(first) < min_rows:
+        raise ParseError(f"need at least {min_rows} data rows, got {len(first)}",
+                         line=len(lines))
+    return first, second
+
+
+def read_signal_csv(path) -> SampledSignal:
+    """Read an ``x,y`` CSV into a :class:`SampledSignal`.
+
+    The header row is required, rows must be sorted by ``x``, and spacing
+    must be uniform to 1e-9 relative tolerance; ``delta_x`` is inferred
+    from the first two rows.
+    """
+    xs, ys = read_two_column_csv(path, ("x", "y"), min_rows=3)
     delta_x = xs[1] - xs[0]
     if delta_x <= 0:
         raise ParseError("x column must be strictly increasing", line=3)

@@ -26,7 +26,6 @@ from gaussfit import (
     build_erf_table,
     crlb_ratio,
     crlb_sigma,
-    ls_fit,
     m3_initial_fit,
     optimal_rho_oracle,
     rho_from_samples,
@@ -35,6 +34,7 @@ from gaussfit import (
     run_method,
     sample_gaussian,
     sigma_area_m1,
+    wls_trace,
 )
 from gaussfit.methods import MethodSpec
 from gaussfit.results import CONVERGED
@@ -105,10 +105,10 @@ def test_criterion_1_noiseless_exactness(erf_table):
     t0 = time.perf_counter()
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
 
-    # plain LS; the floor is set below the smallest noiseless sample so
-    # the log transform is exact (the default data-driven floor would
-    # clamp the far tail of this 7-sigma-deep signal)
-    fit_ls = ls_fit(sig, clamp_floor=1e-12)
+    # plain LS (one unit-weight step); the floor is set below the smallest
+    # noiseless sample so the log transform is exact (the default
+    # data-driven floor would clamp the far tail of this 7-sigma-deep signal)
+    fit_ls = wls_trace(sig, np.ones(GRID_N), 1, clamp_floor=1e-12)[-1]
     ls_ok = (
         abs(fit_ls.params.amplitude - 1.0) <= 1e-6
         and abs(fit_ls.params.mu - 9.0) <= 9e-6

@@ -20,6 +20,7 @@ from gaussfit import (
     InvalidWindowError,
     NoPeakError,
     NoiseSpec,
+    ParseError,
     SampledSignal,
     build_erf_table,
     combine_sigma,
@@ -220,6 +221,23 @@ def test_erf_table_csv_round_trip_is_bit_exact(tmp_path, erf_table):
     back = read_erf_table_csv(path)
     assert np.array_equal(back.k, erf_table.k)
     assert np.array_equal(back.values, erf_table.values)
+
+
+def test_erf_table_csv_errors(tmp_path):
+    path = tmp_path / "erf.csv"
+    path.write_text("K,ERF_K_OVER_SQRT2\n0.1,0.0797\n")  # header case is ignored
+    assert read_erf_table_csv(path).k_count == 1
+    cases = [
+        ("k,erf\n0.1,0.0797\n", 1),                       # bad header
+        ("k,erf_k_over_sqrt2\n0.1,0.0797\n0.2,0.15,9\n", 3),  # three columns
+        ("k,erf_k_over_sqrt2\n0.1,oops\n", 2),             # non-numeric
+        ("k,erf_k_over_sqrt2\n0.1,0.0797\n\ninf,1.0\n", 4),  # non-finite
+    ]
+    for text, line in cases:
+        path.write_text(text)
+        with pytest.raises(ParseError) as err:
+            read_erf_table_csv(path)
+        assert err.value.line == line, text
 
 
 # ----------------------------------------------------- width from area

@@ -15,12 +15,11 @@ from gaussfit import (
     coeffs_from_params,
     eval_gaussian,
     log_transform,
-    ls_fit,
+    params_from_coeffs,
     run_method,
     sample_gaussian,
     weighted_ls_solve,
     weights_from_params,
-    wls_iterate,
     wls_trace,
 )
 from gaussfit.methods import MethodSpec
@@ -68,7 +67,7 @@ def test_two_positive_weights_is_singular():
 def test_ls_fit_noiseless_near_complete_case():
     # mu=6 leaves every sample above the default clamp floor
     truth = GaussianParams(1.0, 6.0, 1.3)
-    fit = ls_fit(sample_gaussian(truth, GRID_DX, GRID_N))
+    fit = wls_trace(sample_gaussian(truth, GRID_DX, GRID_N), np.ones(GRID_N), 1)[-1]
     assert fit.params.amplitude == pytest.approx(1.0, rel=1e-6)
     assert fit.params.mu == pytest.approx(6.0, rel=1e-6)
     assert fit.params.sigma == pytest.approx(1.3, rel=1e-6)
@@ -78,7 +77,7 @@ def test_ls_fit_unit_weights_equivalence():
     clean = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N).samples
     bumps = 1.0 + 0.05 * np.sin(np.arange(GRID_N))  # positive, keeps LS sane
     sig = SampledSignal(delta_x=GRID_DX, samples=clean * bumps)
-    fit = ls_fit(sig, TINY_FLOOR)
+    fit = wls_trace(sig, np.ones(GRID_N), 1, TINY_FLOOR)[-1]
     direct = weighted_ls_solve(sig, np.ones(GRID_N), TINY_FLOOR)
     assert fit.coeffs == direct
 
@@ -97,16 +96,17 @@ def test_ls_degenerates_on_noisy_long_tail_while_m5_survives():
         truth = GaussianParams(1.0, mu, 1.0 + 0.3 * ((t * 7) % 100) / 99.0)
         sig = sample_gaussian(truth, GRID_DX, GRID_N, NoiseSpec(12.0, 50_000 + t))
         try:
-            fit = ls_fit(sig)
-            ls_sq.append((fit.params.sigma - truth.sigma) ** 2)
+            params = params_from_coeffs(weighted_ls_solve(sig, np.ones(GRID_N)))
+            ls_sq.append((params.sigma - truth.sigma) ** 2)
         except (InvalidWidthError, SingularSystemError):
             ls_failed += 1
         floor = float(np.max(sig.samples)) * 1e-6
         try:
-            fit5, _ = wls_iterate(sig, np.exp(log_transform(sig, floor)), 12)
-            m5_sq.append((fit5.params.sigma - truth.sigma) ** 2)
+            fit5 = wls_trace(sig, np.exp(log_transform(sig, floor)), 12)[-1]
         except GaussFitError:
-            pass
+            continue
+        if fit5.params is not None:
+            m5_sq.append((fit5.params.sigma - truth.sigma) ** 2)
     assert len(m5_sq) > trials * 0.9
     mse_m5 = float(np.mean(m5_sq))
     mse_ls = float(np.mean(ls_sq)) if ls_sq else math.inf
@@ -139,7 +139,8 @@ def test_wls_one_iteration_exact_on_noiseless():
     sig = _noiseless()
     rngs = np.random.default_rng(3)
     w0 = rngs.uniform(0.1, 5.0, GRID_N)
-    fit, trace = wls_iterate(sig, w0, 1, TINY_FLOOR)
+    trace = wls_trace(sig, w0, 1, TINY_FLOOR)
+    fit = trace[-1]
     assert len(trace) == 1
     assert fit.params.amplitude == pytest.approx(1.0, rel=1e-6)
     assert fit.params.mu == pytest.approx(9.0, rel=1e-6)
@@ -148,7 +149,7 @@ def test_wls_one_iteration_exact_on_noiseless():
 
 def test_wls_noiseless_trace_is_fixed_point():
     sig = _noiseless()
-    _, trace = wls_iterate(sig, np.ones(GRID_N), 5, TINY_FLOOR)
+    trace = wls_trace(sig, np.ones(GRID_N), 5, TINY_FLOOR)
     first = trace[0].coeffs
     for step in trace[1:]:
         assert step.coeffs.a == pytest.approx(first.a, rel=1e-9)
@@ -158,8 +159,9 @@ def test_wls_noiseless_trace_is_fixed_point():
 
 def test_wls_trace_length_and_determinism():
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(12.0, 77))
-    fit_a, trace_a = wls_iterate(sig, np.exp(log_transform(sig, 1e-6)), 12)
-    fit_b, trace_b = wls_iterate(sig, np.exp(log_transform(sig, 1e-6)), 12)
+    trace_a = wls_trace(sig, np.exp(log_transform(sig, 1e-6)), 12)
+    trace_b = wls_trace(sig, np.exp(log_transform(sig, 1e-6)), 12)
+    fit_a, fit_b = trace_a[-1], trace_b[-1]
     assert len(trace_a) == 12
     assert fit_a.params == fit_b.params
     assert all(sa.coeffs == sb.coeffs for sa, sb in zip(trace_a, trace_b))
@@ -168,7 +170,7 @@ def test_wls_trace_length_and_determinism():
 def test_wls_zero_iterations_rejected():
     sig = _noiseless()
     with pytest.raises(GaussFitError):
-        wls_iterate(sig, np.ones(GRID_N), 0)
+        wls_trace(sig, np.ones(GRID_N), 0)
 
 
 def test_wls_singular_carries_iteration_index():
@@ -176,8 +178,9 @@ def test_wls_singular_carries_iteration_index():
     w = np.zeros(GRID_N)
     w[3] = 1.0
     with pytest.raises(SingularSystemError) as err:
-        wls_iterate(sig, w, 2)
+        wls_trace(sig, w, 2)
     assert err.value.iteration == 0
+    assert err.value.stage == "wls_trace"
 
 
 def test_scale_equivariance_of_coefficients():
@@ -195,10 +198,10 @@ def test_arbitrary_origin_shifts_location_only():
     """Re-declaring the same samples on a shifted abscissa must shift the
     fitted location by exactly that offset and touch nothing else."""
     base = _noiseless()
-    fit0 = ls_fit(base, TINY_FLOOR)
+    fit0 = wls_trace(base, np.ones(GRID_N), 1, TINY_FLOOR)[-1]
     for x0 in (5.0, -2.5, 1000.0):
         moved = SampledSignal(delta_x=GRID_DX, samples=base.samples, x0=x0)
-        fitx = ls_fit(moved, TINY_FLOOR)
+        fitx = wls_trace(moved, np.ones(GRID_N), 1, TINY_FLOOR)[-1]
         assert fitx.params.mu - fit0.params.mu == pytest.approx(x0, abs=1e-7)
         assert fitx.params.sigma == pytest.approx(fit0.params.sigma, rel=1e-9)
         assert fitx.params.amplitude == pytest.approx(fit0.params.amplitude, rel=1e-7)
@@ -228,7 +231,7 @@ def test_wls_m5_initialization_matches_method_dispatch(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(12.0, 123))
     floor = float(np.max(sig.samples)) * 1e-6
     w0 = np.exp(log_transform(sig, floor))
-    fit, _ = wls_iterate(sig, w0, 12)
+    fit = wls_trace(sig, w0, 12)[-1]
     via_dispatch = run_method(MethodSpec("M5", m5_iters=12), sig, erf_table)
     assert via_dispatch.params == fit.params
 

@@ -10,10 +10,10 @@ from gaussfit import (
     SampledSignal,
     UnknownMethodError,
     eval_gaussian,
+    reweighted_trace,
     run_method,
     sample_gaussian,
-    two_stage,
-    wls_iterate,
+    wls_trace,
 )
 from gaussfit.methods import MethodSpec
 from gaussfit.results import DEGENERATE_FALLBACK
@@ -24,6 +24,11 @@ GRID_N = 1001
 
 NEAR_COMPLETE = GaussianParams(1.0, 6.0, 1.3)
 LONG_TAIL = GaussianParams(1.0, 9.0, 1.3)
+
+
+def _iterate_from(init, sig, iters):
+    """Trace started from the Gaussian of ``init``: the M2/M4 stage 2."""
+    return wls_trace(sig, eval_gaussian(init, sig.grid), iters)
 
 
 def test_every_method_recovers_near_complete_noiseless(erf_table):
@@ -64,7 +69,8 @@ def test_run_method_deterministic(erf_table):
 
 def test_two_stage_exact_from_true_init():
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
-    fit, trace = two_stage(LONG_TAIL, sig, iters=1)
+    trace = _iterate_from(LONG_TAIL, sig, 1)
+    fit = trace[-1]
     assert len(trace) == 1
     assert fit.params.amplitude == pytest.approx(1.0, rel=1e-6)
     assert fit.params.mu == pytest.approx(9.0, rel=1e-6)
@@ -74,17 +80,17 @@ def test_two_stage_exact_from_true_init():
 def test_two_stage_init_amplitude_scale_invariant():
     """Scaling the starting weights uniformly cannot move the solution."""
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(16.0, 21))
-    base, _ = two_stage(GaussianParams(1.0, 8.9, 1.2), sig, iters=2)
-    scaled, _ = two_stage(GaussianParams(7.25, 8.9, 1.2), sig, iters=2)
+    base = _iterate_from(GaussianParams(1.0, 8.9, 1.2), sig, 2)[-1]
+    scaled = _iterate_from(GaussianParams(7.25, 8.9, 1.2), sig, 2)[-1]
     assert scaled.coeffs.a == pytest.approx(base.coeffs.a, rel=1e-12)
     assert scaled.coeffs.b == pytest.approx(base.coeffs.b, rel=1e-12)
     assert scaled.coeffs.c == pytest.approx(base.coeffs.c, rel=1e-12)
 
 
-def test_two_stage_zero_iterations_rejected():
+def test_two_stage_zero_iterations_rejected(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
     with pytest.raises(GaussFitError):
-        two_stage(LONG_TAIL, sig, iters=0)
+        reweighted_trace(MethodSpec("M2"), sig, erf_table, 0)
 
 
 def test_m2_m4_match_manual_two_stage(erf_table):
@@ -95,14 +101,14 @@ def test_m2_m4_match_manual_two_stage(erf_table):
 
     m4 = run_method(MethodSpec("M4"), sig, erf_table)
     init = m3_initial_fit(sig, InitConfig(), erf_table).params
-    manual, _ = two_stage(init, sig, iters=2)
+    manual = _iterate_from(init, sig, 2)[-1]
     assert m4.params == manual.params
 
     m2 = run_method(MethodSpec("M2"), sig, erf_table)
     peak = naive_peak(sig)
     m1_params = GaussianParams(
         peak.amplitude_hat, peak.mu_hat, sigma_area_m1(sig, peak.amplitude_hat))
-    manual2, _ = two_stage(m1_params, sig, iters=2)
+    manual2 = _iterate_from(m1_params, sig, 2)[-1]
     assert m2.params == manual2.params
 
 
@@ -125,8 +131,14 @@ def test_stage1_failure_falls_back_to_sample_weights(erf_table):
     from gaussfit import log_transform
 
     w0 = np.exp(log_transform(sig, floor))
-    direct, _ = wls_iterate(sig, w0, 2)
+    direct = wls_trace(sig, w0, 2)[-1]
     assert m2.params == direct.params
+
+    trace, status, diagnostics = reweighted_trace(
+        MethodSpec("M2"), sig, erf_table, 2)
+    assert status == DEGENERATE_FALLBACK
+    assert diagnostics == m2.diagnostics
+    assert trace[-1].params == m2.params
 
 
 def test_two_stage_weights_match_init_gaussian():
