@@ -209,14 +209,11 @@ class _CellAccumulator:
     def record(self, trial_idx: int, estimate: GaussianParams | None,
                truth: GaussianParams, converged: bool) -> None:
         if estimate is not None:
-            diff = np.array([
-                estimate.amplitude - truth.amplitude,
-                estimate.mu - truth.mu,
-                estimate.sigma - truth.sigma,
-            ])
+            da = estimate.amplitude - truth.amplitude
+            dm = estimate.mu - truth.mu
+            ds = estimate.sigma - truth.sigma
             # absurd estimates may overflow the square; inf is the honest value
-            with np.errstate(over="ignore"):
-                self.sq[trial_idx] = diff * diff
+            self.sq[trial_idx] = (da * da, dm * dm, ds * ds)
         if estimate is None or not converged:
             self.degenerate += 1
 

@@ -12,9 +12,18 @@ squares is ``params_from_coeffs(weighted_ls_solve(signal, np.ones(n),
 floor))``), and :func:`wls_trace` runs the iteration and returns every
 iterate.
 
-Only a 3x3 system ever arises, so the normal equations are formed with
-the grid centered at its midpoint (which tames the Vandermonde-style
-conditioning) and solved by direct elimination with partial pivoting.
+Only a 3x3 system ever arises.  The normal equations are formed on the
+grid centered at its midpoint, ``t = x - m``, which tames the
+Vandermonde-style conditioning.  With ``u = (w / max w)^2`` the matrix
+holds the five moments ``sum u t^k`` (``k = 0..4``) and the right side
+the three sums ``sum u t^k ln y`` (``k = 0..2``).  A trace computes ``t``
+once and reuses one ``(5, n)`` buffer: each step fills its rows with the
+product chain ``u, u t, u t^2, u t^3, u t^4``, reduces them with one row
+sum, takes three dot products for the right side, and solves by an
+unrolled elimination with partial pivoting.  These are the operations of
+the plain formulation (separate sums and dot products, a loop over
+lists for the elimination) in the same order, so the results are
+bit-identical to it; ``tests/test_linfit.py`` keeps it as the oracle.
 """
 
 from __future__ import annotations
@@ -45,31 +54,53 @@ __all__ = ["weighted_ls_solve", "weights_from_params", "wls_trace"]
 _PIVOT_RTOL = 100.0 * np.finfo(np.float64).eps
 
 
-def _solve3(mat: list[list[float]], rhs: list[float]) -> list[float]:
-    """Solve a 3x3 system by Gaussian elimination with partial pivoting."""
-    a = [row[:] for row in mat]
-    b = rhs[:]
-    tol = _PIVOT_RTOL * max(abs(v) for row in a for v in row)
+def _solve_normal(s0: float, s1: float, s2: float, s3: float, s4: float,
+                  r0: float, r1: float, r2: float) -> tuple[float, float, float]:
+    """Solve ``[[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]] @ c = [r0, r1, r2]``.
+
+    Gaussian elimination with partial pivoting, unrolled.  A pivot is the
+    largest magnitude in its column, ties going to the upper row, and it
+    must exceed ``_PIVOT_RTOL`` times the largest matrix entry.
+    """
+    tol = _PIVOT_RTOL * max(abs(s0), abs(s1), abs(s2), abs(s3), abs(s4))
     if not math.isfinite(tol) or tol == 0.0:
         raise SingularSystemError("normal matrix is zero or non-finite")
-    n = 3
-    for col in range(n):
-        p = max(range(col, n), key=lambda r: abs(a[r][col]))
-        if abs(a[p][col]) <= tol:
-            raise SingularSystemError("pivot below tolerance; system is rank deficient")
-        if p != col:
-            a[col], a[p] = a[p], a[col]
-            b[col], b[p] = b[p], b[col]
-        for r in range(col + 1, n):
-            m = a[r][col] / a[col][col]
-            for c in range(col, n):
-                a[r][c] -= m * a[col][c]
-            b[r] -= m * b[col]
-    out = [0.0, 0.0, 0.0]
-    for r in (2, 1, 0):
-        s = b[r] - sum(a[r][c] * out[c] for c in range(r + 1, n))
-        out[r] = s / a[r][r]
-    return out
+    # rows (a[r][0], a[r][1], a[r][2], b[r]); column 0 picks the pivot row
+    row0, row1, row2 = (s0, s1, s2, r0), (s1, s2, s3, r1), (s2, s3, s4, r2)
+    if abs(s1) > abs(s0):
+        if abs(s2) > abs(s1):
+            row0, row2 = row2, row0
+        else:
+            row0, row1 = row1, row0
+    elif abs(s2) > abs(s0):
+        row0, row2 = row2, row0
+    a00, a01, a02, b0 = row0
+    a10, a11, a12, b1 = row1
+    a20, a21, a22, b2 = row2
+    if abs(a00) <= tol:
+        raise SingularSystemError("pivot below tolerance; system is rank deficient")
+    m = a10 / a00
+    a11 -= m * a01
+    a12 -= m * a02
+    b1 -= m * b0
+    m = a20 / a00
+    a21 -= m * a01
+    a22 -= m * a02
+    b2 -= m * b0
+    if abs(a21) > abs(a11):
+        a11, a12, b1, a21, a22, b2 = a21, a22, b2, a11, a12, b1
+    if abs(a11) <= tol:
+        raise SingularSystemError("pivot below tolerance; system is rank deficient")
+    m = a21 / a11
+    a22 -= m * a12
+    b2 -= m * b1
+    if abs(a22) <= tol:
+        raise SingularSystemError("pivot below tolerance; system is rank deficient")
+    # back substitution; "0.0 +" keeps the signed zero of a sum started at 0
+    c2 = b2 / a22
+    c1 = (b1 - (0.0 + a12 * c2)) / a11
+    c0 = (b0 - ((0.0 + a01 * c1) + a02 * c2)) / a00
+    return c0, c1, c2
 
 
 def _validated_weights(weights, n: int) -> np.ndarray:
@@ -83,31 +114,50 @@ def _validated_weights(weights, n: int) -> np.ndarray:
     return w
 
 
-def _weighted_normal_solve(x: np.ndarray, logs: np.ndarray, w: np.ndarray) -> LogPolyCoeffs:
+def _normal_solve(w: np.ndarray, logs: np.ndarray, t: np.ndarray, mid,
+                  moments: tuple) -> LogPolyCoeffs:
+    """One weighted solve on the centered grid ``t = x - mid``.
+
+    ``moments`` is a ``(5, n)`` scratch buffer followed by its five rows.
+    The rows receive ``u * t**k`` for ``k = 0..4`` with
+    ``u = (w / max(w))**2``, built as a product chain, and one row
+    reduction gives the five distinct normal-matrix entries.
+    """
     if np.count_nonzero(w > 0) < 3:
         raise SingularSystemError("fewer than 3 samples carry positive weight")
-    top = float(np.max(w))
-    wn = w / top  # uniform weight scaling cancels in the normal equations
-    mid = 0.5 * (x[0] + x[-1])
-    t = x - mid
-    u = wn * wn
-    ut = u * t
-    ut2 = ut * t
-    s0 = float(np.sum(u))
-    s1 = float(np.sum(ut))
-    s2 = float(np.sum(ut2))
-    s3 = float(np.sum(ut2 * t))
-    s4 = float(np.sum(ut2 * t * t))
-    r0 = float(np.dot(u, logs))
-    r1 = float(np.dot(ut, logs))
-    r2 = float(np.dot(ut2, logs))
-    ac, bc, cc = _solve3([[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]], [r0, r1, r2])
+    rows, u, ut, ut2, ut3, ut4 = moments
+    np.divide(w, float(w.max()), out=u)  # uniform scaling cancels in the solve
+    np.multiply(u, u, out=u)
+    np.multiply(u, t, out=ut)
+    np.multiply(ut, t, out=ut2)
+    np.multiply(ut2, t, out=ut3)
+    np.multiply(ut3, t, out=ut4)
+    s0, s1, s2, s3, s4 = rows.sum(axis=1).tolist()
+    ac, bc, cc = _solve_normal(s0, s1, s2, s3, s4, float(np.dot(u, logs)),
+                               float(np.dot(ut, logs)), float(np.dot(ut2, logs)))
     # undo the centering: a + b(x - m) + c(x - m)^2 back to powers of x
     return LogPolyCoeffs(
         a=ac - bc * mid + cc * mid * mid,
         b=bc - 2.0 * cc * mid,
         c=cc,
     )
+
+
+def _prepared(signal: SampledSignal, weights, clamp_floor: float | None):
+    """Validated weights, clamped log samples, the grid, its midpoint, the
+    centered grid and the moment buffer with its rows: everything one
+    trace reuses."""
+    w = _validated_weights(weights, len(signal))
+    logs = log_transform(signal, resolve_clamp_floor(signal, clamp_floor))
+    x = signal.grid
+    mid = 0.5 * (x[0] + x[-1])
+    rows = np.empty((5, x.size))
+    return w, logs, x, mid, x - mid, (rows, *rows)
+
+
+def _gaussian_values(coeffs: LogPolyCoeffs, x: np.ndarray) -> np.ndarray:
+    """``exp(a + b x + c x^2)``; the caller decides how overflow is treated."""
+    return np.exp(coeffs.a + coeffs.b * x + coeffs.c * x * x)
 
 
 def weighted_ls_solve(
@@ -120,10 +170,8 @@ def weighted_ls_solve(
     Raises :class:`SingularSystemError` when fewer than three samples have
     positive weight (the weighted system is rank deficient).
     """
-    w = _validated_weights(weights, len(signal))
-    floor = resolve_clamp_floor(signal, clamp_floor)
-    logs = log_transform(signal, floor)
-    return _weighted_normal_solve(signal.grid, logs, w)
+    w, logs, _, mid, t, moments = _prepared(signal, weights, clamp_floor)
+    return _normal_solve(w, logs, t, mid, moments)
 
 
 def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
@@ -133,9 +181,8 @@ def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
     caller to guard (the iteration zeroes non-finite entries); underflow
     simply produces zero weight.
     """
-    g = np.asarray(grid, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore"):
-        return np.exp(coeffs.a + coeffs.b * g + coeffs.c * g * g)
+        return _gaussian_values(coeffs, np.asarray(grid, dtype=np.float64))
 
 
 def wls_trace(
@@ -147,9 +194,9 @@ def wls_trace(
     """Run the reweighting iteration and return every iterate.
 
     Iteration 0 solves with ``initial_weights``; every later iteration
-    rebuilds its weights from the previous coefficient estimate via
-    :func:`weights_from_params` (non-finite rebuilt weights are zeroed,
-    they carry no usable information).
+    rebuilds its weights from the previous coefficient estimate, the
+    values of :func:`weights_from_params` (non-finite rebuilt weights are
+    zeroed, they carry no usable information).
 
     An iterate whose quadratic curls upward (``c >= 0``) still defines
     valid weights, so the iteration continues through it; on noisy
@@ -162,24 +209,22 @@ def wls_trace(
     """
     if num_iters < 1:
         raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
-    w = _validated_weights(initial_weights, len(signal))
-    floor = resolve_clamp_floor(signal, clamp_floor)
-    logs = log_transform(signal, floor)
-    x = signal.grid
+    w, logs, x, mid, t, moments = _prepared(signal, initial_weights, clamp_floor)
     trace: WlsTrace = []
-    for i in range(num_iters):
-        try:
-            coeffs = _weighted_normal_solve(x, logs, w)
-        except SingularSystemError as err:
-            raise SingularSystemError(str(err), stage="wls_trace",
-                                      iteration=i) from None
-        params = None
-        try:
-            params = params_from_coeffs(coeffs)
-        except (InvalidWidthError, InvalidParamsError):
-            pass
-        trace.append(WlsStep(coeffs=coeffs, params=params))
-        if i + 1 < num_iters:
-            w = weights_from_params(coeffs, x)
-            w[~np.isfinite(w)] = 0.0
+    with np.errstate(over="ignore", under="ignore"):
+        for i in range(num_iters):
+            try:
+                coeffs = _normal_solve(w, logs, t, mid, moments)
+            except SingularSystemError as err:
+                raise SingularSystemError(str(err), stage="wls_trace",
+                                          iteration=i) from None
+            params = None
+            try:
+                params = params_from_coeffs(coeffs)
+            except (InvalidWidthError, InvalidParamsError):
+                pass
+            trace.append(WlsStep(coeffs=coeffs, params=params))
+            if i + 1 < num_iters:
+                w = _gaussian_values(coeffs, x)
+                w[~np.isfinite(w)] = 0.0
     return trace

@@ -9,6 +9,7 @@ from gaussfit import (
     GaussFitError,
     GaussianParams,
     InvalidWidthError,
+    LogPolyCoeffs,
     NoiseSpec,
     SampledSignal,
     SingularSystemError,
@@ -252,3 +253,153 @@ def test_wls_trace_exposes_recovery():
             found = True
             break
     assert found, "expected at least one recovering trace in 40 noisy trials"
+
+def _plain_solve3(mat, rhs):
+    """Gaussian elimination with partial pivoting on lists, loop form."""
+    a = [row[:] for row in mat]
+    b = rhs[:]
+    tol = 100.0 * np.finfo(np.float64).eps * max(abs(v) for row in a for v in row)
+    if not math.isfinite(tol) or tol == 0.0:
+        raise SingularSystemError("normal matrix is zero or non-finite")
+    for col in range(3):
+        p = max(range(col, 3), key=lambda r: abs(a[r][col]))
+        if abs(a[p][col]) <= tol:
+            raise SingularSystemError("pivot below tolerance")
+        if p != col:
+            a[col], a[p] = a[p], a[col]
+            b[col], b[p] = b[p], b[col]
+        for r in range(col + 1, 3):
+            m = a[r][col] / a[col][col]
+            for c in range(col, 3):
+                a[r][c] -= m * a[col][c]
+            b[r] -= m * b[col]
+    out = [0.0, 0.0, 0.0]
+    for r in (2, 1, 0):
+        s = b[r] - sum(a[r][c] * out[c] for c in range(r + 1, 3))
+        out[r] = s / a[r][r]
+    return out
+
+
+def _plain_solve(x, logs, w):
+    """One weighted solve in its plain form: five np.sum, three np.dot and
+    the list-based elimination, on the grid centered at its midpoint."""
+    if np.count_nonzero(w > 0) < 3:
+        raise SingularSystemError("fewer than 3 samples carry positive weight")
+    wn = w / float(np.max(w))
+    mid = 0.5 * (x[0] + x[-1])
+    t = x - mid
+    u = wn * wn
+    ut = u * t
+    ut2 = ut * t
+    s0, s1, s2 = float(np.sum(u)), float(np.sum(ut)), float(np.sum(ut2))
+    s3 = float(np.sum(ut2 * t))
+    s4 = float(np.sum(ut2 * t * t))
+    r = [float(np.dot(u, logs)), float(np.dot(ut, logs)), float(np.dot(ut2, logs))]
+    ac, bc, cc = _plain_solve3([[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]], r)
+    return LogPolyCoeffs(ac - bc * mid + cc * mid * mid, bc - 2.0 * cc * mid, cc)
+
+
+def _plain_trace(sig, w0, num_iters, floor):
+    """Coefficients of every iterate and the index of the step that raised
+    (None when all ``num_iters`` steps completed)."""
+    logs = log_transform(sig, floor)
+    x = sig.grid
+    w = np.asarray(w0, dtype=np.float64)
+    coeffs = []
+    for i in range(num_iters):
+        try:
+            coeffs.append(_plain_solve(x, logs, w))
+        except SingularSystemError:
+            return coeffs, i
+        w = weights_from_params(coeffs[-1], x)
+        w[~np.isfinite(w)] = 0.0
+    return coeffs, None
+
+
+def _m5_start(sig):
+    floor = float(np.max(sig.samples)) * 1e-6
+    return np.exp(log_transform(sig, floor)), floor
+
+
+def test_trace_equals_plain_oracle_bit_for_bit():
+    """The fused step keeps every floating-point operation of the plain
+    formulation: equal coefficients at every iterate and an equal raised
+    iteration index, including the M5 collapse trials of the standard
+    protocol (seed 7, 12 dB)."""
+    from gaussfit.bench import BenchConfig, _trial_signal
+
+    base = _noiseless()
+    cases = [(base, np.ones(GRID_N), TINY_FLOOR)]
+    for snr_db, seed in ((12.0, 77), (0.0, 78)):
+        sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(snr_db, seed))
+        cases.append((sig, *_m5_start(sig)))
+    shifted = SampledSignal(delta_x=GRID_DX, samples=cases[1][0].samples, x0=-37.5)
+    cases.append((shifted, *_m5_start(shifted)))
+    config = BenchConfig(trials=2000, master_seed=7)
+    collapse = {2: 7, 15: 9, 44: 8, 74: 6}
+    for trial in collapse:
+        sig = _trial_signal(config, 0, trial, 12.0)[0]
+        cases.append((sig, *_m5_start(sig)))
+
+    raised_at = []
+    for sig, w0, floor in cases:
+        want, raised = _plain_trace(sig, w0, 12, floor)
+        if raised is None:
+            got = [step.coeffs for step in wls_trace(sig, w0, 12, floor)]
+        else:
+            with pytest.raises(SingularSystemError) as err:
+                wls_trace(sig, w0, 12, floor)
+            assert err.value.iteration == raised
+            got = [step.coeffs for step in wls_trace(sig, w0, raised, floor)]
+        assert [(c.a, c.b, c.c) for c in got] == [(c.a, c.b, c.c) for c in want]
+        raised_at.append(raised)
+    # the 0 dB signal collapses too
+    assert raised_at == [None, None, 5, None] + list(collapse.values())
+
+
+def test_single_solve_equals_plain_oracle_bit_for_bit():
+    """Random sparse weights on random grids, including rank-deficient
+    draws: the same coefficients or the same rejection."""
+    rngs = np.random.default_rng(29)
+    outcomes = set()
+    for _ in range(200):
+        n = int(rngs.integers(3, 60))
+        sig = SampledSignal(delta_x=float(rngs.uniform(0.01, 2.0)),
+                            samples=np.exp(rngs.normal(0.0, 2.0, n)),
+                            x0=float(rngs.uniform(-50.0, 50.0)))
+        w = rngs.uniform(0.0, 3.0, n) * (rngs.random(n) < 0.3)
+        try:
+            want = _plain_solve(sig.grid, log_transform(sig, 1e-30), w)
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                weighted_ls_solve(sig, w, 1e-30)
+            outcomes.add("singular")
+            continue
+        got = weighted_ls_solve(sig, w, 1e-30)
+        assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
+        outcomes.add("solved")
+    assert outcomes == {"singular", "solved"}
+
+
+def test_elimination_equals_plain_oracle_on_ties():
+    """Small-integer Hankel systems make pivot ties, zero and negative
+    entries common: the unrolled elimination must pick the same pivots and
+    keep the signs of zeros (the right side includes -0.0)."""
+    from gaussfit.linfit import _solve_normal
+
+    rngs = np.random.default_rng(31)
+    outcomes = set()
+    for _ in range(3000):
+        s0, s1, s2, s3, s4 = (float(v) for v in rngs.integers(-3, 4, 5))
+        rhs = [float(v) or float(rngs.choice([0.0, -0.0])) for v in rngs.integers(-2, 3, 3)]
+        try:
+            want = _plain_solve3([[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]], rhs)
+        except SingularSystemError:
+            with pytest.raises(SingularSystemError):
+                _solve_normal(s0, s1, s2, s3, s4, *rhs)
+            outcomes.add("singular")
+            continue
+        got = _solve_normal(s0, s1, s2, s3, s4, *rhs)
+        assert [repr(v) for v in got] == [repr(v) for v in want]
+        outcomes.add("solved")
+    assert outcomes == {"singular", "solved"}
