@@ -55,7 +55,7 @@ from .initfit import (
     write_erf_table_csv,
 )
 from .linfit import weighted_ls_solve, weights_from_params, wls_trace
-from .methods import METHOD_IDS, MethodSpec, reweighted_trace, run_method
+from .methods import METHOD_IDS, MethodSpec, reweighted_start, run_method
 from .results import CONVERGED, DEGENERATE_FALLBACK, FAILED, FitResult, WlsStep, WlsTrace
 from .signal import (
     GaussianParams,

@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import rng
-from .errors import GaussFitError, ShapeError, UnknownMethodError
+from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, build_erf_table
-from .methods import METHOD_IDS, MethodSpec, reweighted_trace, run_method
+from .linfit import wls_trace
+from .methods import METHOD_IDS, MethodSpec, reweighted_start, run_method
 from .results import CONVERGED
 from .signal import GaussianParams, NoiseSpec, SampledSignal, sample_gaussian
 
@@ -329,8 +330,13 @@ def _iters_point(config: BenchConfig, table: ErfTable):
                     fit = run_method(spec, signal, table)
                     outcomes = [(fit.params, fit.status == CONVERGED)] * len(sweep)
                 else:
-                    trace, status, _ = reweighted_trace(spec, signal, table, max_iters)
-                    steps = [trace[k - 1].params for k in sweep]
+                    w0, status, _ = reweighted_start(spec, signal, table)
+                    try:
+                        trace = wls_trace(signal, w0, max_iters, spec.clamp_floor)
+                    except SingularSystemError as err:
+                        trace = err.completed  # points before the failing step stand
+                    steps = [trace[k - 1].params if k <= len(trace) else None
+                             for k in sweep]
                     outcomes = [(p, status == CONVERGED and p is not None)
                                 for p in steps]
             except GaussFitError:
@@ -347,11 +353,13 @@ def _iters_point(config: BenchConfig, table: ErfTable):
 def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> BenchReport:
     """MSE versus reweighting iteration count at a fixed SNR.
 
-    One trace of ``max(iter_sweep)`` iterations per trial, from
-    :func:`gaussfit.methods.reweighted_trace` like every M2/M4/M5 fit,
+    One trace of ``max(iter_sweep)`` iterations per trial, started by
+    :func:`gaussfit.methods.reweighted_start` like every M2/M4/M5 fit,
     produces every sweep point, so points within a trial share their
     noise.  Sweep points where an iterate has no Gaussian form are counted
-    degenerate for that trial.
+    degenerate for that trial; a rank-deficient step voids the points from
+    its own iteration count on and leaves the earlier ones standing, so
+    every point equals a fresh fit with that many iterations.
     """
     if config.iter_sweep is None:
         raise GaussFitError("iter_sweep must be set for the iteration benchmark")

@@ -53,7 +53,16 @@ class InvalidAmplitudeError(GaussFitError):
 
 
 class SingularSystemError(GaussFitError):
-    """Weighted normal equations are rank deficient."""
+    """Weighted normal equations are rank deficient.
+
+    Raised inside an iteration, ``completed`` holds the iterates finished
+    before the failing one (a list of :class:`gaussfit.results.WlsStep`).
+    """
+
+    def __init__(self, message: str, *, stage: str | None = None,
+                 iteration: int | None = None, completed=()):
+        super().__init__(message, stage=stage, iteration=iteration)
+        self.completed = list(completed)
 
 
 class NoPeakError(GaussFitError):

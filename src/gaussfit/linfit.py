@@ -204,8 +204,8 @@ def wls_trace(
     Gaussian within an iteration or two.  Such iterates appear in the
     trace with ``params=None``; whether the last one must be a Gaussian is
     the caller's decision.  Rank deficiency at any iteration raises
-    :class:`SingularSystemError` with ``stage="wls_trace"`` and the
-    iteration index.
+    :class:`SingularSystemError` with ``stage="wls_trace"``, the
+    iteration index and the iterates completed before it.
     """
     if num_iters < 1:
         raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
@@ -216,8 +216,8 @@ def wls_trace(
             try:
                 coeffs = _normal_solve(w, logs, t, mid, moments)
             except SingularSystemError as err:
-                raise SingularSystemError(str(err), stage="wls_trace",
-                                          iteration=i) from None
+                raise SingularSystemError(str(err), stage="wls_trace", iteration=i,
+                                          completed=trace) from None
             params = None
             try:
                 params = params_from_coeffs(coeffs)

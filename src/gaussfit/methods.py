@@ -11,9 +11,9 @@ M5     iterative reweighted LS seeded with the clamped samples
 =====  ==========================================================
 
 M2, M4 and M5 are one reweighting iteration started from three weight
-vectors; :func:`reweighted_trace` builds the start and runs
-:func:`gaussfit.linfit.wls_trace`, and both :func:`run_method` and the
-iteration sweep of :mod:`gaussfit.bench` go through it.  The two-stage
+vectors; :func:`reweighted_start` builds the start, which
+:func:`run_method` and the iteration sweep of :mod:`gaussfit.bench` both
+hand to :func:`gaussfit.linfit.wls_trace`.  The two-stage
 methods start from the Gaussian described by the stage-1 estimate, frozen
 (the iteration does not re-pick the peak), so with equal starting weights
 and iteration counts the three outputs are bit-identical.
@@ -28,7 +28,7 @@ import numpy as np
 from .errors import GaussFitError, InvalidWidthError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, m3_initial_fit, naive_peak, sigma_area_m1
 from .linfit import wls_trace
-from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult, WlsTrace
+from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
 from .signal import (
     GaussianParams,
     SampledSignal,
@@ -37,7 +37,7 @@ from .signal import (
     resolve_clamp_floor,
 )
 
-__all__ = ["METHOD_IDS", "MethodSpec", "reweighted_trace", "run_method"]
+__all__ = ["METHOD_IDS", "MethodSpec", "reweighted_start", "run_method"]
 
 METHOD_IDS = ("M1", "M2", "M3", "M4", "M5")
 
@@ -75,17 +75,17 @@ def _run_m1(signal: SampledSignal) -> FitResult:
     )
 
 
-def reweighted_trace(
-    spec: MethodSpec, signal: SampledSignal, table: ErfTable, iters: int
-) -> tuple[WlsTrace, str, dict]:
-    """The reweighting iteration of M2, M4 or M5, run for ``iters`` steps.
+def reweighted_start(
+    spec: MethodSpec, signal: SampledSignal, table: ErfTable
+) -> tuple[np.ndarray, str, dict]:
+    """Starting weights of the M2, M4 or M5 iteration, with the status and
+    diagnostics its fit reports.
 
     M2 starts from the Gaussian of the M1 estimate, M4 from that of the M3
     estimate, and M5 from the clamped samples.  When stage 1 of M2/M4
     raises, the iteration starts from the samples like M5, the status is
     ``degenerate-fallback`` and ``diagnostics["stage1_error"]`` says why;
-    otherwise status and diagnostics are those of stage 1.  Returns the
-    whole trace; errors of the iteration itself propagate.
+    otherwise status and diagnostics are those of stage 1.
     """
     mid = spec.method_id
     if mid not in ("M2", "M4", "M5"):
@@ -106,7 +106,7 @@ def reweighted_trace(
     else:
         floor = resolve_clamp_floor(signal, spec.clamp_floor)
         w0 = np.exp(log_transform(signal, floor))
-    return wls_trace(signal, w0, iters, spec.clamp_floor), status, diagnostics
+    return w0, status, diagnostics
 
 
 def run_method(
@@ -130,8 +130,8 @@ def run_method(
         return result
 
     iters = spec.m5_iters if mid == "M5" else spec.stage2_iters
-    trace, status, diagnostics = reweighted_trace(spec, signal, table, iters)
-    last = trace[-1]
+    w0, status, diagnostics = reweighted_start(spec, signal, table)
+    last = wls_trace(signal, w0, iters, spec.clamp_floor)[-1]
     if last.params is None:
         raise InvalidWidthError("final iterate does not describe a Gaussian",
                                 stage="wls_trace", iteration=iters - 1)

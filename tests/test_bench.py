@@ -158,31 +158,31 @@ def test_iters_flat_methods_are_constant_across_sweep(erf_table):
 
 
 def test_iters_sweep_point_matches_direct_run(erf_table):
-    """Sweep point k of the shared trace equals a fresh k-iteration run of
-    M2, M4 and M5, in MSE and in the degenerate count.  At 0 dB the trials
-    include rank-deficient steps, non-Gaussian final iterates and an M4
-    stage-1 fallback.  k is the last sweep point because a rank-deficient
-    later step voids the whole shared trace."""
+    """Every sweep point k of the shared trace equals a fresh k-iteration
+    run of M2, M4 and M5, in MSE and in the degenerate count.  At 0 dB the
+    trials include rank-deficient steps, non-Gaussian final iterates and an
+    M4 stage-1 fallback; an M2 step that fails after iteration 2 must leave
+    that trial's 2-iteration estimate standing."""
     methods = ("M2", "M4", "M5")
     for snr_db in (12.0, 0.0):
-        common = dict(trials=40, master_seed=13, methods=methods,
-                      stage2_iters=4, m5_iters=4)
+        common = dict(trials=40, master_seed=13, methods=methods)
         shared = run_bench_iters(
             BenchConfig(iter_sweep=(2, 4), fixed_snr_db=snr_db, **common), erf_table)
-        direct = run_bench_snr(
-            BenchConfig(snr_start_db=snr_db, snr_step_db=1.0, snr_stop_db=snr_db,
-                        **common),
-            erf_table,
-        )
-        # same derived seeds only if the sweep indexes match (both are point 0)
-        for mid in methods:
-            for param in ("A", "mu", "sigma"):
-                got = shared.cell(mid, 4.0, param)
-                want = direct.cell(mid, snr_db, param)
-                assert got.mse == want.mse, (snr_db, mid, param)
-                assert got.degenerate == want.degenerate, (snr_db, mid, param)
-            if snr_db == 0.0:
-                assert direct.cell(mid, snr_db, "A").degenerate > 0, mid
+        for k in (2, 4):
+            direct = run_bench_snr(
+                BenchConfig(snr_start_db=snr_db, snr_step_db=1.0, snr_stop_db=snr_db,
+                            stage2_iters=k, m5_iters=k, **common),
+                erf_table,
+            )
+            # same derived seeds only if the sweep indexes match (both are point 0)
+            for mid in methods:
+                for param in ("A", "mu", "sigma"):
+                    got = shared.cell(mid, float(k), param)
+                    want = direct.cell(mid, snr_db, param)
+                    assert got.mse == want.mse, (snr_db, k, mid, param)
+                    assert got.degenerate == want.degenerate, (snr_db, k, mid, param)
+                if snr_db == 0.0:
+                    assert direct.cell(mid, snr_db, "A").degenerate > 0, (k, mid)
 
 
 def test_iters_requires_sweep(erf_table):

@@ -10,7 +10,7 @@ from gaussfit import (
     SampledSignal,
     UnknownMethodError,
     eval_gaussian,
-    reweighted_trace,
+    reweighted_start,
     run_method,
     sample_gaussian,
     wls_trace,
@@ -89,8 +89,9 @@ def test_two_stage_init_amplitude_scale_invariant():
 
 def test_two_stage_zero_iterations_rejected(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
+    w0, _, _ = reweighted_start(MethodSpec("M2"), sig, erf_table)
     with pytest.raises(GaussFitError):
-        reweighted_trace(MethodSpec("M2"), sig, erf_table, 0)
+        wls_trace(sig, w0, 0)
 
 
 def test_m2_m4_match_manual_two_stage(erf_table):
@@ -134,11 +135,10 @@ def test_stage1_failure_falls_back_to_sample_weights(erf_table):
     direct = wls_trace(sig, w0, 2)[-1]
     assert m2.params == direct.params
 
-    trace, status, diagnostics = reweighted_trace(
-        MethodSpec("M2"), sig, erf_table, 2)
+    start, status, diagnostics = reweighted_start(MethodSpec("M2"), sig, erf_table)
     assert status == DEGENERATE_FALLBACK
     assert diagnostics == m2.diagnostics
-    assert trace[-1].params == m2.params
+    assert np.array_equal(start, w0)
 
 
 def test_two_stage_weights_match_init_gaussian():
