@@ -173,14 +173,11 @@ def mse_aggregate(estimates, truths) -> tuple[float, float, float]:
         raise ShapeError(f"length mismatch: {len(est)} estimates vs {len(tru)} truths")
     if not est:
         raise ShapeError("need at least one pair")
-    acc = np.zeros(3)
-    with np.errstate(over="ignore"):
-        for e, t in zip(est, tru):
-            diff = np.array([e.amplitude - t.amplitude, e.mu - t.mu,
-                             e.sigma - t.sigma])
-            acc += diff * diff
-    acc /= len(est)
-    return float(acc[0]), float(acc[1]), float(acc[2])
+    cell = _CellAccumulator(len(est))
+    for i, (e, t) in enumerate(zip(est, tru)):
+        cell.record(i, e, t, True)
+    mse = cell.mse()
+    return float(mse[0]), float(mse[1]), float(mse[2])
 
 
 def _trial_signal(
@@ -221,7 +218,8 @@ class _CellAccumulator:
     def mse(self) -> np.ndarray:
         present = ~np.isnan(self.sq)
         counts = present.sum(axis=0)
-        sums = np.where(present, self.sq, 0.0).sum(axis=0)
+        with np.errstate(over="ignore"):  # like the squares, the sums may overflow
+            sums = np.where(present, self.sq, 0.0).sum(axis=0)
         return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
 
 

@@ -14,13 +14,20 @@ Exit codes: 0 success, 2 argument/input parse error, 3 fit failure
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
 
 from .bench import BenchConfig, run_bench_iters, run_bench_snr, write_report_csv
 from .errors import GaussFitError, ParseError
-from .initfit import InitConfig, build_erf_table, read_erf_table_csv, write_erf_table_csv
+from .initfit import (
+    ErfTable,
+    InitConfig,
+    build_erf_table,
+    read_erf_table_csv,
+    write_erf_table_csv,
+)
 from .methods import METHOD_IDS, MethodSpec, run_method
 from .signal import read_signal_csv
 
@@ -54,7 +61,9 @@ def _parse_methods(text: str) -> tuple[str, ...]:
     return methods
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="gaussfit",
         description="Log-domain Gaussian fitting and its Monte Carlo benchmark.",
@@ -121,6 +130,17 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _default_erf_table() -> ErfTable:
+    """The default lookup table, built on first use and shared by every
+    later fit in the process, so its arrays are made read-only."""
+    init = InitConfig()
+    table = build_erf_table(init.k_start, init.k_step, init.k_count)
+    table.k.flags.writeable = False
+    table.values.flags.writeable = False
+    return table
+
+
 def _cmd_fit(args) -> int:
     try:
         signal = read_signal_csv(args.input)
@@ -141,7 +161,7 @@ def _cmd_fit(args) -> int:
         if args.erf_table is not None:
             table = read_erf_table_csv(args.erf_table)
         else:
-            table = build_erf_table(init.k_start, init.k_step, init.k_count)
+            table = _default_erf_table()
     except (OSError, GaussFitError) as err:
         print(f"gaussfit: {err}", file=sys.stderr)
         return _EXIT_USAGE
@@ -227,8 +247,7 @@ def _cmd_erftable(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     if args.command == "fit":
         return _cmd_fit(args)
     if args.command == "bench":

@@ -67,6 +67,20 @@ def crlb_sigma(query: CrlbQuery) -> float:
     return query.noise_power * query.params.sigma**6 / s
 
 
+def _split_sums(
+    params: GaussianParams, delta_x: float, n_hat: int, n_total: int
+) -> tuple[float, float]:
+    """Information sums left (``n < n_hat``) and right of the split index;
+    both sides must carry information."""
+    if not 0 < n_hat < n_total:
+        raise InvalidGridError(f"n_hat must be in (0, {n_total}), got {n_hat}")
+    s_beta = _fisher_sum(params, delta_x, 0, n_hat)
+    s_alpha = _fisher_sum(params, delta_x, n_hat, n_total)
+    if s_beta <= 0 or s_alpha <= 0:
+        raise DegenerateFisherError("one side carries no information about sigma")
+    return s_beta, s_alpha
+
+
 def crlb_ratio(
     params: GaussianParams, delta_x: float, n_hat: int, n_total: int
 ) -> float:
@@ -75,12 +89,7 @@ def crlb_ratio(
     Noise power and the sigma^6 factor cancel, leaving the inverse ratio
     of the two information sums.
     """
-    if not 0 < n_hat < n_total:
-        raise InvalidGridError(f"n_hat must be in (0, {n_total}), got {n_hat}")
-    s_beta = _fisher_sum(params, delta_x, 0, n_hat)
-    s_alpha = _fisher_sum(params, delta_x, n_hat, n_total)
-    if s_beta <= 0 or s_alpha <= 0:
-        raise DegenerateFisherError("one side carries no information about sigma")
+    s_beta, s_alpha = _split_sums(params, delta_x, n_hat, n_total)
     return s_alpha / s_beta
 
 
@@ -94,10 +103,5 @@ def optimal_rho_oracle(
     is the left-range bound divided by the sum of both bounds; always in
     (0, 1) when both sides carry information.
     """
-    if not 0 < n_hat < n_total:
-        raise InvalidGridError(f"n_hat must be in (0, {n_total}), got {n_hat}")
-    s_beta = _fisher_sum(params, delta_x, 0, n_hat)
-    s_alpha = _fisher_sum(params, delta_x, n_hat, n_total)
-    if s_beta <= 0 or s_alpha <= 0:
-        raise DegenerateFisherError("one side carries no information about sigma")
+    s_beta, s_alpha = _split_sums(params, delta_x, n_hat, n_total)
     return s_alpha / (s_alpha + s_beta)

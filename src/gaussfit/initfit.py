@@ -149,7 +149,7 @@ def naive_peak(signal: SampledSignal) -> PeakEstimate:
     n_hat = int(np.argmax(y))
     a_hat = float(y[n_hat])
     if a_hat <= 0:
-        raise NoPeakError("all samples are non-positive")
+        raise NoPeakError("all samples are non-positive", stage="naive_peak")
     return PeakEstimate(
         n_hat=n_hat,
         mu_hat=signal.x0 + n_hat * signal.delta_x,
@@ -183,7 +183,8 @@ def windowed_peak(signal: SampledSignal, window_l: int) -> PeakEstimate:
     y = signal.samples
     n = y.size
     if not 1 <= window_l <= n - 1:
-        raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window_l}")
+        raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window_l}",
+                                 stage="windowed_peak")
     averages = np.convolve(y, np.full(window_l, 1.0 / window_l), mode="valid")
     n_hat = int(np.argmax(averages))
     center = n_hat + window_l // 2

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GaussFitError, InvalidWidthError, UnknownMethodError
+from .errors import GaussFitError, InvalidParamsError, InvalidWidthError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, m3_initial_fit, naive_peak, sigma_area_m1
 from .linfit import wls_trace
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
@@ -64,9 +64,12 @@ class MethodSpec:
 def _run_m1(signal: SampledSignal) -> FitResult:
     peak = naive_peak(signal)
     sigma = sigma_area_m1(signal, peak.amplitude_hat)
-    params = GaussianParams(
-        amplitude=peak.amplitude_hat, mu=peak.mu_hat, sigma=sigma
-    )
+    try:
+        params = GaussianParams(
+            amplitude=peak.amplitude_hat, mu=peak.mu_hat, sigma=sigma
+        )
+    except InvalidParamsError as err:  # a sample sum <= 0 gives no width
+        raise InvalidParamsError(str(err), stage="sigma_area_m1") from None
     return FitResult(
         params=params,
         method="M1",

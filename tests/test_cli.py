@@ -126,6 +126,29 @@ def test_fit_failure_exit_code(tmp_path):
     res = _run("fit", "--input", str(flat), "--method", "M1", "--output", "-")
     assert res.returncode == 3
     assert "fit failed" in res.stderr
+    assert "[stage: naive_peak]" in res.stderr
+    short = tmp_path / "short.csv"
+    short.write_text("x,y\n0,0.5\n1,1.0\n2,0.5\n")
+    res = _run("fit", "--input", str(short), "--method", "M3", "--output", "-")
+    assert res.returncode == 3
+    assert "[stage: windowed_peak]" in res.stderr
+
+
+def test_fit_twice_in_one_process(noiseless_csv, tmp_path):
+    """The parser and the default table are built once per process; a
+    second call must write the same bytes, and nothing may alter the
+    shared table."""
+    from gaussfit import cli
+
+    outs = [tmp_path / "first.json", tmp_path / "second.json"]
+    for out in outs:
+        code = cli.main(["fit", "--input", str(noiseless_csv), "--method", "M4",
+                         "--output", str(out)])
+        assert code == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+    table = cli._default_erf_table()
+    assert not table.k.flags.writeable
+    assert not table.values.flags.writeable
 
 
 def test_bench_snr_deterministic_bytes(tmp_path):

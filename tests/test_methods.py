@@ -6,7 +6,10 @@ import pytest
 from gaussfit import (
     GaussFitError,
     GaussianParams,
+    InvalidParamsError,
+    InvalidWindowError,
     NoiseSpec,
+    NoPeakError,
     SampledSignal,
     UnknownMethodError,
     eval_gaussian,
@@ -176,3 +179,23 @@ def test_methods_mini_fuzz(erf_table):
             except GaussFitError:
                 typed += 1
     assert ok > 0 and typed > 0
+
+
+def test_stage_one_errors_carry_stage_labels(erf_table):
+    """M1 and M3 errors name the stage that failed: no positive sample, a
+    sample sum too negative for a width, a window longer than the signal."""
+    cases = [
+        ("M1", [-1.0, -0.5, -2.0, -0.25], NoPeakError, "naive_peak"),
+        ("M3", [-1.0, -0.5, -2.0, -0.25], NoPeakError, "windowed_peak"),
+        ("M1", [-3.0, 1.0, -3.0, -1.0], InvalidParamsError, "sigma_area_m1"),
+        ("M3", [0.5, 1.0, 0.5], InvalidWindowError, "windowed_peak"),
+    ]
+    for mid, samples, error, stage in cases:
+        sig = SampledSignal(delta_x=0.1, samples=samples)
+        with pytest.raises(error) as err:
+            run_method(MethodSpec(mid), sig, erf_table)
+        assert err.value.stage == stage, (mid, samples)
+    # M4 falls back to the samples and reports why stage 1 failed
+    short = SampledSignal(delta_x=0.1, samples=[0.5, 1.0, 0.5])
+    m4 = run_method(MethodSpec("M4"), short, erf_table)
+    assert "[stage: windowed_peak]" in m4.diagnostics["stage1_error"]
