@@ -25,7 +25,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import GaussFitError, InvalidParamsError, InvalidWidthError, UnknownMethodError
+from .errors import (
+    GaussFitError,
+    InvalidParamsError,
+    InvalidWidthError,
+    UnknownMethodError,
+)
 from .initfit import ErfTable, InitConfig, m3_initial_fit, naive_peak, sigma_area_m1
 from .linfit import wls_trace
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult

@@ -391,7 +391,8 @@ def test_elimination_equals_plain_oracle_on_ties():
     outcomes = set()
     for _ in range(3000):
         s0, s1, s2, s3, s4 = (float(v) for v in rngs.integers(-3, 4, 5))
-        rhs = [float(v) or float(rngs.choice([0.0, -0.0])) for v in rngs.integers(-2, 3, 3)]
+        rhs = [float(v) or float(rngs.choice([0.0, -0.0]))
+               for v in rngs.integers(-2, 3, 3)]
         try:
             want = _plain_solve3([[s0, s1, s2], [s1, s2, s3], [s2, s3, s4]], rhs)
         except SingularSystemError:
