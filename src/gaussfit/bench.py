@@ -16,6 +16,16 @@ configuration; trials are independent, so sweep points may be computed in
 parallel worker processes without changing any reported value (timing
 measurements excepted, which is why they are off by default).
 
+Trials run in chunks of ``_CHUNK``: a chunk's truths and noise are drawn
+as one :class:`gaussfit.signal.SignalBlock`, stage 1 runs once over the
+block (:func:`gaussfit.methods.stage_one_block`; M1 for M1 and M2, the
+split-area fit for M3 and M4 when their ``init`` is equal), and each
+method then finishes row by row from those outcomes.  Every row equals the
+trial computed alone, so the reports do not depend on the chunk size.
+With ``timing`` on, a method is charged its own per-row time plus its
+per-row share of every batched stage it uses, so M4's mean time still
+includes the split-area initializer.
+
 Accounting: a trial whose method returns a fallback-flagged result still
 contributes its estimate to the MSE and bumps the degenerate counter; a
 trial whose method raises contributes nothing and bumps the counter.
@@ -25,7 +35,6 @@ from __future__ import annotations
 
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,9 +43,15 @@ from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, build_erf_table
 from .linfit import wls_trace
-from .methods import METHOD_IDS, MethodSpec, reweighted_start, run_method
+from .methods import (
+    METHOD_IDS,
+    MethodSpec,
+    finish_method,
+    stage_one_block,
+    start_weights,
+)
 from .results import CONVERGED
-from .signal import GaussianParams, NoiseSpec, SampledSignal, sample_gaussian
+from .signal import GaussianParams, NoiseSpec, sample_gaussian_block
 
 __all__ = [
     "BenchConfig",
@@ -53,6 +68,10 @@ PARAM_NAMES = ("A", "mu", "sigma")
 # Stream tags so parameter draws and noise come from unrelated substreams.
 _PARAMS_TAG = 0x50415241
 _NOISE_TAG = 0x4E4F4953
+
+# Trials per synthesis and stage-1 block: enough to spread numpy's per-call
+# cost, small enough that the block arrays stay a fraction of a MiB.
+_CHUNK = 8
 
 
 @dataclass(frozen=True)
@@ -180,20 +199,51 @@ def mse_aggregate(estimates, truths) -> tuple[float, float, float]:
     return float(mse[0]), float(mse[1]), float(mse[2])
 
 
-def _trial_signal(
-    config: BenchConfig, sweep_idx: int, trial_idx: int, snr_db: float
-) -> tuple[SampledSignal, GaussianParams, int]:
-    """Draw one trial's truth and noisy signal from its derived seed."""
-    trial_seed = rng.mix_seed(config.master_seed, sweep_idx, trial_idx)
-    u = rng.uniforms(rng.mix_seed(trial_seed, _PARAMS_TAG), 2)
-    truth = GaussianParams(
-        amplitude=config.a_true,
-        mu=config.mu_low + (config.mu_high - config.mu_low) * float(u[0]),
-        sigma=config.sigma_low + (config.sigma_high - config.sigma_low) * float(u[1]),
-    )
-    noise = NoiseSpec(snr_db=snr_db, seed=rng.mix_seed(trial_seed, _NOISE_TAG))
-    signal = sample_gaussian(truth, config.delta_x, config.n_samples, noise)
-    return signal, truth, trial_seed
+def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
+    """Yield ``(block, truths, seeds)`` for each chunk of trials, drawn from
+    the trials' derived seeds; row ``i`` is the trial of ``seeds[i]``."""
+    span_mu = config.mu_high - config.mu_low
+    span_sigma = config.sigma_high - config.sigma_low
+    for first in range(0, config.trials, _CHUNK):
+        last = min(first + _CHUNK, config.trials)
+        seeds = [rng.mix_seed(config.master_seed, sweep_idx, t) for t in range(first, last)]
+        u = rng.uniforms([rng.mix_seed(s, _PARAMS_TAG) for s in seeds], 2)
+        mus = (config.mu_low + span_mu * u[:, 0]).tolist()
+        sigmas = (config.sigma_low + span_sigma * u[:, 1]).tolist()
+        truths = [GaussianParams(amplitude=config.a_true, mu=m, sigma=s)
+                  for m, s in zip(mus, sigmas)]
+        noises = [NoiseSpec(snr_db=snr_db, seed=rng.mix_seed(s, _NOISE_TAG))
+                  for s in seeds]
+        block = sample_gaussian_block(truths, config.delta_x, config.n_samples, noises)
+        yield block, truths, seeds
+
+
+def _trials(config: BenchConfig, sweep_idx: int, snr_db: float,
+            specs: list[MethodSpec], table: ErfTable):
+    """Yield ``(trial index, seed, truth, signal, stage1)`` for every trial,
+    a chunk at a time.  ``stage1`` holds, per spec, the trial's stage-1
+    outcome and the per-row seconds of the batched stage (0 without
+    ``timing``); M1 and M2 share one run of M1, and M3 and M4 one run of
+    the split-area fit when their ``init`` is equal.  ``signal`` is
+    ``None`` when no method iterates, since M1 and M3 finish without it."""
+    iterating = any(spec.method_id in ("M2", "M4", "M5") for spec in specs)
+    first = 0
+    for block, truths, seeds in _trial_blocks(config, sweep_idx, snr_db):
+        shared: dict = {}
+        per_spec = []
+        for spec in specs:
+            family = {"M2": "M1", "M4": "M3"}.get(spec.method_id, spec.method_id)
+            key = (family, spec.init if family == "M3" else None)
+            if key not in shared:
+                t0 = time.perf_counter()
+                outcomes = stage_one_block(spec, block, table) or [None] * len(block)
+                share = (time.perf_counter() - t0) / len(block) if config.timing else 0.0
+                shared[key] = (outcomes, share)
+            per_spec.append(shared[key])
+        for i, (seed, truth) in enumerate(zip(seeds, truths)):
+            signal = block.row(i) if iterating else None
+            yield first + i, seed, truth, signal, [(o[i], share) for o, share in per_spec]
+        first += len(block)
 
 
 class _CellAccumulator:
@@ -229,19 +279,18 @@ def _snr_point(config: BenchConfig, table: ErfTable, sweep_idx: int):
     specs = [config.method_spec(mid) for mid in config.methods]
     cells = {mid: _CellAccumulator(config.trials) for mid in config.methods}
     seeds = []
-    for t in range(config.trials):
-        signal, truth, trial_seed = _trial_signal(config, sweep_idx, t, snr_db)
-        seeds.append(trial_seed)
-        for spec in specs:
+    for t, seed, truth, signal, stage1 in _trials(config, sweep_idx, snr_db, specs, table):
+        seeds.append(seed)
+        for spec, (outcome, share) in zip(specs, stage1):
             cell = cells[spec.method_id]
             t0 = time.perf_counter() if config.timing else 0.0
             try:
-                fit = run_method(spec, signal, table)
+                fit = finish_method(spec, signal, outcome)
                 estimate, converged = fit.params, fit.status == CONVERGED
             except GaussFitError:
                 estimate, converged = None, False
             if config.timing:
-                cell.elapsed_s += time.perf_counter() - t0
+                cell.elapsed_s += time.perf_counter() - t0 + share
             cell.record(t, estimate, truth, converged)
     return sweep_idx, cells, seeds
 
@@ -293,6 +342,9 @@ def run_bench_snr(config: BenchConfig, table: ErfTable | None = None) -> BenchRe
     all_seeds: list[int] = []
     tasks = [(config, table, j) for j in range(len(grid))]
     if config.workers > 1 and len(tasks) > 1:
+        # imported here: loading the process pool costs about 2 MiB of memory
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_snr_point_args, tasks))
     else:
@@ -316,19 +368,18 @@ def _iters_point(config: BenchConfig, table: ErfTable):
         for mid in config.methods
     }
     seeds = []
-    for t in range(config.trials):
-        signal, truth, trial_seed = _trial_signal(config, 0, t, snr_db)
-        seeds.append(trial_seed)
-        for spec in specs:
+    for t, seed, truth, signal, stage1 in _trials(config, 0, snr_db, specs, table):
+        seeds.append(seed)
+        for spec, (outcome, share) in zip(specs, stage1):
             mid = spec.method_id
             t0 = time.perf_counter() if config.timing else 0.0
             try:
                 if mid in ("M1", "M3"):
                     # no iterative stage: constant across the sweep
-                    fit = run_method(spec, signal, table)
+                    fit = finish_method(spec, signal, outcome)
                     outcomes = [(fit.params, fit.status == CONVERGED)] * len(sweep)
                 else:
-                    w0, status, _ = reweighted_start(spec, signal, table)
+                    w0, status, _ = start_weights(spec, signal, outcome)
                     try:
                         trace = wls_trace(signal, w0, max_iters, spec.clamp_floor)
                     except SingularSystemError as err:
@@ -342,7 +393,7 @@ def _iters_point(config: BenchConfig, table: ErfTable):
             for k, (estimate, converged) in zip(sweep, outcomes):
                 cells[mid][k].record(t, estimate, truth, converged)
             if config.timing:
-                dt = time.perf_counter() - t0
+                dt = time.perf_counter() - t0 + share
                 for k in sweep:
                     cells[mid][k].elapsed_s += dt
     return cells, seeds
@@ -352,7 +403,7 @@ def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> Bench
     """MSE versus reweighting iteration count at a fixed SNR.
 
     One trace of ``max(iter_sweep)`` iterations per trial, started by
-    :func:`gaussfit.methods.reweighted_start` like every M2/M4/M5 fit,
+    :func:`gaussfit.methods.start_weights` like every M2/M4/M5 fit,
     produces every sweep point, so points within a trial share their
     noise.  Sweep points where an iterate has no Gaussian form are counted
     degenerate for that trial; a rank-deficient step voids the points from

@@ -13,6 +13,18 @@ Two families live here:
 The lookup table stores ``erf(k / sqrt 2)`` on a fixed k grid.  Because
 the half-width enters the area equations only through ``k = halfwidth /
 sigma``, one table serves every signal regardless of its scale.
+
+Both pipelines work on a :class:`gaussfit.signal.SignalBlock`, rows that
+share one grid: :func:`naive_peak_block`, :func:`sigma_area_m1_block` and
+:func:`m3_initial_fit_block` take every row's moving-average peak, table
+lookup, ``rho`` weights and template dot products as whole-block array
+operations, and only the decisions (fallbacks, statuses, diagnostics,
+typed errors with their stage labels) are made row by row.  The scalar
+functions are blocks of one, so there is one implementation of each
+stage.  The sums over a row's slice (the partial areas and the ``rho``
+numerator) stay one ``np.sum`` per row, because pairwise summation
+depends on the slice; everything else equals the row computed alone bit
+for bit.
 """
 
 from __future__ import annotations
@@ -25,6 +37,7 @@ import numpy as np
 from .errors import (
     DegenerateAreaError,
     DegenerateRhoError,
+    GaussFitError,
     InvalidAmplitudeError,
     InvalidGridError,
     InvalidWidthError,
@@ -33,7 +46,7 @@ from .errors import (
     ParseError,
 )
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
-from .signal import GaussianParams, SampledSignal, read_two_column_csv
+from .signal import GaussianParams, SampledSignal, SignalBlock, read_two_column_csv
 
 __all__ = [
     "PeakEstimate",
@@ -41,7 +54,9 @@ __all__ = [
     "ErfTable",
     "InitConfig",
     "naive_peak",
+    "naive_peak_block",
     "sigma_area_m1",
+    "sigma_area_m1_block",
     "windowed_peak",
     "partial_areas",
     "build_erf_table",
@@ -50,6 +65,7 @@ __all__ = [
     "combine_sigma",
     "refine_amplitude",
     "m3_initial_fit",
+    "m3_initial_fit_block",
     "read_erf_table_csv",
     "write_erf_table_csv",
 ]
@@ -143,18 +159,36 @@ def build_erf_table(k_start: float, k_step: float, k_count: int) -> ErfTable:
     return ErfTable(k=k, values=values)
 
 
+def _single(outcomes: list):
+    """The only outcome of a block of one, raised if it is an error."""
+    if isinstance(outcomes[0], GaussFitError):
+        raise outcomes[0]
+    return outcomes[0]
+
+
+def naive_peak_block(block: SignalBlock) -> list:
+    """:func:`naive_peak` of every row: its :class:`PeakEstimate`, or the
+    :class:`NoPeakError` of a row without a positive sample."""
+    y = block.samples
+    n_hat = np.argmax(y, axis=1)
+    heights = y[np.arange(len(y)), n_hat]
+    mu_hat = block.x0 + n_hat * block.delta_x
+    return [PeakEstimate(n_hat=i, mu_hat=m, amplitude_hat=a) if a > 0
+            else NoPeakError("all samples are non-positive", stage="naive_peak")
+            for i, m, a in zip(n_hat.tolist(), mu_hat.tolist(), heights.tolist())]
+
+
 def naive_peak(signal: SampledSignal) -> PeakEstimate:
     """Largest sample and its index; ties go to the smallest index."""
-    y = signal.samples
-    n_hat = int(np.argmax(y))
-    a_hat = float(y[n_hat])
-    if a_hat <= 0:
-        raise NoPeakError("all samples are non-positive", stage="naive_peak")
-    return PeakEstimate(
-        n_hat=n_hat,
-        mu_hat=signal.x0 + n_hat * signal.delta_x,
-        amplitude_hat=a_hat,
-    )
+    return _single(naive_peak_block(SignalBlock.of(signal)))
+
+
+def sigma_area_m1_block(block: SignalBlock, amplitudes) -> np.ndarray:
+    """:func:`sigma_area_m1` of every row with that row's amplitude, which
+    must be finite and positive (as every peak of :func:`naive_peak_block`
+    is)."""
+    totals = block.samples.sum(axis=1) * block.delta_x
+    return totals / (np.asarray(amplitudes, dtype=np.float64) * _SQRT_2PI)
 
 
 def sigma_area_m1(signal: SampledSignal, amplitude_hat: float) -> float:
@@ -168,8 +202,30 @@ def sigma_area_m1(signal: SampledSignal, amplitude_hat: float) -> float:
     """
     if not (math.isfinite(amplitude_hat) and amplitude_hat > 0):
         raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
-    total = float(np.sum(signal.samples)) * signal.delta_x
-    return total / (amplitude_hat * _SQRT_2PI)
+    return float(sigma_area_m1_block(SignalBlock.of(signal), [amplitude_hat])[0])
+
+
+def _window_peaks(block: SignalBlock, window_l: int):
+    """Window starts, centre locations and centre heights of every row.
+
+    The moving average is built as a chain of scaled, shifted copies of
+    the rows, ``((y[n] w + y[n+1] w) + ...) + y[n+L-1] w``: elementwise
+    numpy arithmetic whose result does not depend on the row count or the
+    BLAS kernel of the machine.
+    """
+    y = block.samples
+    n = y.shape[1]
+    if not 1 <= window_l <= n - 1:
+        raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window_l}",
+                                 stage="windowed_peak")
+    w = 1.0 / window_l
+    m = n - window_l + 1
+    averages = y[:, :m] * w
+    for k in range(1, window_l):
+        averages += y[:, k:k + m] * w
+    starts = np.argmax(averages, axis=1)
+    centers = starts + window_l // 2
+    return starts, block.x0 + centers * block.delta_x, y[np.arange(len(y)), centers]
 
 
 def windowed_peak(signal: SampledSignal, window_l: int) -> PeakEstimate:
@@ -180,19 +236,19 @@ def windowed_peak(signal: SampledSignal, window_l: int) -> PeakEstimate:
     ``x0 + (n_hat + L // 2) * delta_x`` and the height estimate is the
     sample there.  With ``L = 1`` this degenerates to :func:`naive_peak`.
     """
-    y = signal.samples
-    n = y.size
-    if not 1 <= window_l <= n - 1:
-        raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window_l}",
-                                 stage="windowed_peak")
-    averages = np.convolve(y, np.full(window_l, 1.0 / window_l), mode="valid")
-    n_hat = int(np.argmax(averages))
-    center = n_hat + window_l // 2
-    return PeakEstimate(
-        n_hat=n_hat,
-        mu_hat=signal.x0 + center * signal.delta_x,
-        amplitude_hat=float(y[center]),
-    )
+    starts, mu_hat, heights = _window_peaks(SignalBlock.of(signal), window_l)
+    return PeakEstimate(n_hat=int(starts[0]), mu_hat=float(mu_hat[0]),
+                        amplitude_hat=float(heights[0]))
+
+
+def _nearest_index(block: SignalBlock, mu_hat: np.ndarray) -> np.ndarray:
+    """Grid index nearest to each location, clamped into the grid."""
+    index = np.rint((mu_hat - block.x0) / block.delta_x)
+    return np.minimum(np.maximum(index, 0.0), block.samples.shape[1] - 1).astype(np.intp)
+
+
+def _split_sums(y: np.ndarray, n_hat: int, delta_x: float) -> tuple[float, float]:
+    return delta_x * float(np.sum(y[:n_hat])), delta_x * float(np.sum(y[n_hat:]))
 
 
 def partial_areas(signal: SampledSignal, n_hat: int) -> PartialAreas:
@@ -204,9 +260,29 @@ def partial_areas(signal: SampledSignal, n_hat: int) -> PartialAreas:
     y = signal.samples
     if not 0 <= n_hat <= y.size - 1:
         raise InvalidGridError(f"n_hat must be in [0, {y.size - 1}], got {n_hat}")
-    s_beta = signal.delta_x * float(np.sum(y[:n_hat]))
-    s_alpha = signal.delta_x * float(np.sum(y[n_hat:]))
-    return PartialAreas(s_beta=s_beta, s_alpha=s_alpha)
+    return PartialAreas(*_split_sums(y, n_hat, signal.delta_x))
+
+
+def _area_problem(area: float, half_width: float) -> str | None:
+    """Why a one-sided area gives no width, or ``None`` if it does."""
+    if not (math.isfinite(area) and area > 0):
+        return f"area must be > 0, got {area!r}"
+    if not (math.isfinite(half_width) and half_width > 0):
+        return f"half width must be > 0, got {half_width!r}"
+    return None
+
+
+def _lookup_k(areas: np.ndarray, half_widths: np.ndarray, amplitudes: np.ndarray,
+              table: ErfTable) -> tuple[np.ndarray, np.ndarray]:
+    """Widths and grid values ``k_star`` of a batch of one-sided areas, from
+    one ``(batch, k_count)`` objective; each row takes its first minimum."""
+    k = table.k
+    objective = (_SQRT_2PI * amplitudes * half_widths)[:, None] / (2.0 * k)
+    objective *= table.values  # the predicted areas
+    np.subtract(areas[:, None], objective, out=objective)
+    np.square(objective, out=objective)
+    k_star = k[np.argmin(objective, axis=1)]  # the first minimum: smaller k wins
+    return half_widths / k_star, k_star
 
 
 def sigma_from_area(
@@ -227,16 +303,32 @@ def sigma_from_area(
     """
     if not (math.isfinite(amplitude_hat) and amplitude_hat > 0):
         raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
-    if not (math.isfinite(area) and area > 0):
-        raise DegenerateAreaError(f"area must be > 0, got {area!r}")
-    if not (math.isfinite(half_width) and half_width > 0):
-        raise DegenerateAreaError(f"half width must be > 0, got {half_width!r}")
-    k = table.k
-    predicted = (_SQRT_2PI * amplitude_hat * half_width) / (2.0 * k) * table.values
-    objective = (area - predicted) ** 2
-    j = int(np.argmin(objective))  # argmin takes the first minimum: smaller k wins
-    k_star = float(k[j])
-    return half_width / k_star, k_star
+    problem = _area_problem(area, half_width)
+    if problem is not None:
+        raise DegenerateAreaError(problem)
+    sigma, k_star = _lookup_k(np.array([area], dtype=np.float64),
+                              np.array([half_width], dtype=np.float64),
+                              np.array([amplitude_hat], dtype=np.float64), table)
+    return float(sigma[0]), float(k_star[0])
+
+
+def _rho_rows(samples: np.ndarray, grid: np.ndarray, mu_hat: np.ndarray,
+              n_hat: np.ndarray) -> tuple[list, list]:
+    """``rho`` of every row (``None`` where the denominator is unusable) and
+    the denominators, as Python floats."""
+    contrib = samples * samples
+    lever = mu_hat[:, None] - grid
+    np.power(lever, 4, out=lever)
+    contrib *= lever
+    del lever
+    denoms = contrib.sum(axis=1).tolist()
+    rhos = []
+    for row, start, denom in zip(contrib, n_hat.tolist(), denoms):
+        rho = None
+        if math.isfinite(denom) and denom > 0:
+            rho = min(max(float(np.sum(row[start:])) / denom, 0.0), 1.0)
+        rhos.append(rho)
+    return rhos, denoms
 
 
 def rho_from_samples(signal: SampledSignal, mu_hat: float) -> float:
@@ -247,17 +339,12 @@ def rho_from_samples(signal: SampledSignal, mu_hat: float) -> float:
     The same ratio over the noiseless samples is the variance-optimal
     weight; see :func:`gaussfit.crlb.optimal_rho_oracle`.
     """
-    y = signal.samples
-    n = y.size
-    n_hat = int(round((mu_hat - signal.x0) / signal.delta_x))
-    n_hat = min(max(n_hat, 0), n - 1)
-    lever = (mu_hat - signal.grid) ** 4
-    contrib = y * y * lever
-    denom = float(np.sum(contrib))
-    if not math.isfinite(denom) or denom <= 0:
-        raise DegenerateRhoError(f"weight denominator is {denom!r}")
-    rho = float(np.sum(contrib[n_hat:])) / denom
-    return min(max(rho, 0.0), 1.0)
+    block = SignalBlock.of(signal)
+    mu = np.array([mu_hat], dtype=np.float64)
+    rhos, denoms = _rho_rows(block.samples, block.grid, mu, _nearest_index(block, mu))
+    if rhos[0] is None:
+        raise DegenerateRhoError(f"weight denominator is {denoms[0]!r}")
+    return rhos[0]
 
 
 def combine_sigma(sigma_alpha: float, sigma_beta: float, rho: float) -> float:
@@ -271,6 +358,31 @@ def combine_sigma(sigma_alpha: float, sigma_beta: float, rho: float) -> float:
     return rho * sigma_alpha + (1.0 - rho) * sigma_beta
 
 
+def _template_dots(samples: np.ndarray, grid: np.ndarray, mu_hat: np.ndarray,
+                   sigma_hat: np.ndarray) -> tuple[list, list]:
+    """``g . y`` and ``g . g`` of every row's unit-height template ``g``."""
+    z = grid - mu_hat[:, None]
+    z /= sigma_hat[:, None]
+    g = -0.5 * z
+    g *= z
+    del z
+    with np.errstate(under="ignore"):
+        np.exp(g, out=g)
+    return np.vecdot(g, samples).tolist(), np.vecdot(g, g).tolist()
+
+
+def _width_problem(sigma_hat: float) -> InvalidWidthError | None:
+    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
+        return InvalidWidthError(f"sigma must be > 0, got {sigma_hat!r}")
+    return None
+
+
+def _template_amplitude(gy: float, gg: float) -> float:
+    if not math.isfinite(gg) or gg <= 0:
+        raise DegenerateAreaError("amplitude template vanishes on the grid")
+    return gy / gg
+
+
 def refine_amplitude(signal: SampledSignal, mu_hat: float, sigma_hat: float) -> float:
     """Least-squares amplitude for a fixed unit-height template.
 
@@ -278,15 +390,18 @@ def refine_amplitude(signal: SampledSignal, mu_hat: float, sigma_hat: float) -> 
     ``sum (a g - y)^2`` is minimized by ``a = (g . y) / (g . g)``, using
     every sample instead of the single one at the peak.
     """
-    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
-        raise InvalidWidthError(f"sigma must be > 0, got {sigma_hat!r}")
-    z = (signal.grid - mu_hat) / sigma_hat
-    with np.errstate(under="ignore"):
-        g = np.exp(-0.5 * z * z)
-    denom = float(np.dot(g, g))
-    if not math.isfinite(denom) or denom <= 0:
-        raise DegenerateAreaError("amplitude template vanishes on the grid")
-    return float(np.dot(g, signal.samples)) / denom
+    problem = _width_problem(sigma_hat)
+    if problem is not None:
+        raise problem
+    gy, gg = _template_dots(signal.samples[None, :], signal.grid,
+                            np.array([mu_hat], dtype=np.float64),
+                            np.array([sigma_hat], dtype=np.float64))
+    return _template_amplitude(gy[0], gg[0])
+
+
+def _rows(y: np.ndarray, sel: np.ndarray) -> np.ndarray:
+    """Rows ``sel`` of ``y``, without a copy when that is every row."""
+    return y if sel.size == len(y) else y[sel]
 
 
 def m3_initial_fit(
@@ -301,78 +416,122 @@ def m3_initial_fit(
     ratio weight -> template-matched amplitude.  If one side has no
     usable area (peak at a grid edge, or noise summing below zero), the
     other side's estimate is used alone and the result is flagged
-    ``degenerate-fallback``.
+    ``degenerate-fallback``.  A block of one of
+    :func:`m3_initial_fit_block`.
     """
-    peak = windowed_peak(signal, config.window_l)
-    if peak.amplitude_hat <= 0:
-        raise NoPeakError("windowed peak height is non-positive", stage="windowed_peak")
-    n = len(signal)
-    n_hat = int(round((peak.mu_hat - signal.x0) / signal.delta_x))
-    n_hat = min(max(n_hat, 0), n - 1)
-    areas = partial_areas(signal, n_hat)
+    return _single(m3_initial_fit_block(SignalBlock.of(signal), config, table))
 
-    diagnostics: dict = {
-        "n_hat": n_hat,
-        "s_beta": areas.s_beta,
-        "s_alpha": areas.s_alpha,
-    }
-    k_lo = float(table.k[0])
-    k_hi = float(table.k[-1])
 
-    sigma_beta = sigma_alpha = None
+def m3_initial_fit_block(
+    block: SignalBlock,
+    config: InitConfig,
+    table: ErfTable,
+) -> list:
+    """:func:`m3_initial_fit` of every row: its :class:`FitResult`, or the
+    :class:`GaussFitError` the row raises alone (same class, message and
+    stage).
+
+    Each stage runs once over the rows still in play: the moving-average
+    peak over the block, the table lookup over every usable side of every
+    row as one ``(sides, k_count)`` objective, the ``rho`` weights over
+    the rows with two sides, and the template amplitude over the rows
+    with a width.
+    """
+    rows = len(block)
     try:
-        sigma_beta, k_beta = sigma_from_area(
-            areas.s_beta, n_hat * signal.delta_x, peak.amplitude_hat, table
-        )
-        diagnostics["k_star_beta"] = k_beta
-        diagnostics["boundary_beta"] = k_beta in (k_lo, k_hi)
-    except DegenerateAreaError:
-        pass
-    try:
-        sigma_alpha, k_alpha = sigma_from_area(
-            areas.s_alpha, (n - n_hat) * signal.delta_x, peak.amplitude_hat, table
-        )
-        diagnostics["k_star_alpha"] = k_alpha
-        diagnostics["boundary_alpha"] = k_alpha in (k_lo, k_hi)
-    except DegenerateAreaError:
-        pass
+        _, mu_hat, heights = _window_peaks(block, config.window_l)
+    except InvalidWindowError as err:
+        return [err] * rows
+    y, dx = block.samples, block.delta_x
+    n = y.shape[1]
+    grid = block.grid
+    n_hat = _nearest_index(block, mu_hat)
+    outcomes: list = [None] * rows
+    diagnostics: list = [None] * rows
 
-    status = CONVERGED
-    if sigma_beta is None and sigma_alpha is None:
-        raise DegenerateAreaError(
-            "no usable area on either side of the peak", stage="sigma_from_area"
-        )
-    if sigma_beta is None:
-        rho, sigma_hat = 1.0, sigma_alpha
-        status = DEGENERATE_FALLBACK
-        diagnostics["fallback"] = "alpha-only"
-    elif sigma_alpha is None:
-        rho, sigma_hat = 0.0, sigma_beta
-        status = DEGENERATE_FALLBACK
-        diagnostics["fallback"] = "beta-only"
-    else:
+    sides = []  # (row, side, area, half width, peak height) of every usable side
+    for i, (nh, height) in enumerate(zip(n_hat.tolist(), heights.tolist())):
+        if height <= 0:
+            outcomes[i] = NoPeakError("windowed peak height is non-positive",
+                                      stage="windowed_peak")
+            continue
+        s_beta, s_alpha = _split_sums(y[i], nh, dx)
+        diagnostics[i] = {"n_hat": nh, "s_beta": s_beta, "s_alpha": s_alpha}
+        for side, area, half_width in (("beta", s_beta, nh * dx),
+                                       ("alpha", s_alpha, (n - nh) * dx)):
+            if _area_problem(area, half_width) is None:
+                sides.append((i, side, area, half_width, height))
+
+    widths: dict = {}
+    if sides:
+        index, names, areas, half_widths, amplitudes = zip(*sides)
+        sigmas, k_stars = _lookup_k(np.array(areas), np.array(half_widths),
+                                    np.array(amplitudes), table)
+        k_lo, k_hi = float(table.k[0]), float(table.k[-1])
+        for i, side, sigma, k_star in zip(index, names, sigmas.tolist(), k_stars.tolist()):
+            widths[i, side] = sigma
+            diagnostics[i][f"k_star_{side}"] = k_star
+            diagnostics[i][f"boundary_{side}"] = k_star in (k_lo, k_hi)
+
+    chosen: dict = {}  # row -> (rho, sigma_hat, status)
+    two_sided = []
+    for i in range(rows):
+        if outcomes[i] is not None:
+            continue
+        sigma_beta, sigma_alpha = widths.get((i, "beta")), widths.get((i, "alpha"))
+        if sigma_beta is None and sigma_alpha is None:
+            outcomes[i] = DegenerateAreaError(
+                "no usable area on either side of the peak", stage="sigma_from_area")
+        elif sigma_beta is None:
+            diagnostics[i]["fallback"] = "alpha-only"
+            chosen[i] = (1.0, sigma_alpha, DEGENERATE_FALLBACK)
+        elif sigma_alpha is None:
+            diagnostics[i]["fallback"] = "beta-only"
+            chosen[i] = (0.0, sigma_beta, DEGENERATE_FALLBACK)
+        else:
+            two_sided.append(i)
+    if two_sided:
+        sel = np.array(two_sided)
+        rhos, denoms = _rho_rows(_rows(y, sel), grid, mu_hat[sel], n_hat[sel])
+        for i, rho, denom in zip(two_sided, rhos, denoms):
+            if rho is None:
+                outcomes[i] = DegenerateRhoError(f"weight denominator is {denom!r}",
+                                                 stage="rho_from_samples")
+                continue
+            try:
+                sigma_hat = combine_sigma(widths[i, "alpha"], widths[i, "beta"], rho)
+            except GaussFitError as err:
+                outcomes[i] = err
+                continue
+            chosen[i] = (rho, sigma_hat, CONVERGED)
+
+    templated = []
+    for i in sorted(chosen):
+        rho, sigma_hat, _ = chosen[i]
+        diagnostics[i]["rho"] = rho
+        outcomes[i] = _width_problem(sigma_hat)
+        if outcomes[i] is None:
+            templated.append(i)
+    if not templated:
+        return outcomes
+    sel = np.array(templated)
+    sigma_hats = np.array([chosen[i][1] for i in templated])
+    gys, ggs = _template_dots(_rows(y, sel), grid, mu_hat[sel], sigma_hats)
+    for i, mu, gy, gg in zip(templated, mu_hat[sel].tolist(), gys, ggs):
+        _, sigma_hat, status = chosen[i]
         try:
-            rho = rho_from_samples(signal, peak.mu_hat)
-        except DegenerateRhoError as err:
-            raise DegenerateRhoError(str(err), stage="rho_from_samples") from None
-        sigma_hat = combine_sigma(sigma_alpha, sigma_beta, rho)
-    diagnostics["rho"] = rho
-
-    amplitude = refine_amplitude(signal, peak.mu_hat, sigma_hat)
-    if not (math.isfinite(amplitude) and amplitude > 0):
-        raise NoPeakError(
-            f"refined amplitude is not positive: {amplitude!r}",
-            stage="refine_amplitude",
-        )
-    params = GaussianParams(amplitude=amplitude, mu=peak.mu_hat, sigma=sigma_hat)
-    return FitResult(
-        params=params,
-        coeffs=None,
-        method="M3",
-        iterations_run=0,
-        status=status,
-        diagnostics=diagnostics,
-    )
+            amplitude = _template_amplitude(gy, gg)
+            if not (math.isfinite(amplitude) and amplitude > 0):
+                raise NoPeakError(f"refined amplitude is not positive: {amplitude!r}",
+                                  stage="refine_amplitude")
+            params = GaussianParams(amplitude=amplitude, mu=mu, sigma=sigma_hat)
+        except GaussFitError as err:
+            outcomes[i] = err
+            continue
+        outcomes[i] = FitResult(params=params, coeffs=None, method="M3",
+                                iterations_run=0, status=status,
+                                diagnostics=diagnostics[i])
+    return outcomes
 
 
 def write_erf_table_csv(table: ErfTable, path) -> None:
@@ -386,8 +545,8 @@ def write_erf_table_csv(table: ErfTable, path) -> None:
 
 def read_erf_table_csv(path) -> ErfTable:
     """Read a table written by :func:`write_erf_table_csv`."""
-    ks, vals = read_two_column_csv(path, ("k", "erf_k_over_sqrt2"), min_rows=1)
+    ks, vals, _ = read_two_column_csv(path, ("k", "erf_k_over_sqrt2"), min_rows=1)
     try:
-        return ErfTable(k=np.array(ks), values=np.array(vals))
+        return ErfTable(k=ks, values=vals)
     except InvalidGridError as err:
         raise ParseError(f"bad table contents: {err}") from None

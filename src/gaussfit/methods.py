@@ -11,12 +11,18 @@ M5     iterative reweighted LS seeded with the clamped samples
 =====  ==========================================================
 
 M2, M4 and M5 are one reweighting iteration started from three weight
-vectors; :func:`reweighted_start` builds the start, which
-:func:`run_method` and the iteration sweep of :mod:`gaussfit.bench` both
-hand to :func:`gaussfit.linfit.wls_trace`.  The two-stage
+vectors; :func:`start_weights` builds the start from the stage-1 outcome,
+and :func:`run_method` and the iteration sweep of :mod:`gaussfit.bench`
+both hand it to :func:`gaussfit.linfit.wls_trace`.  The two-stage
 methods start from the Gaussian described by the stage-1 estimate, frozen
 (the iteration does not re-pick the peak), so with equal starting weights
 and iteration counts the three outputs are bit-identical.
+
+Stage 1 (M1, or the split-area fit of M3) runs on a block of signals:
+:func:`stage_one_block` gives every row's outcome, :func:`finish_method`
+completes one row's fit from it, and :func:`run_method` is the two on a
+block of one.  A benchmark chunk thus runs M1 and M3 once per row and
+hands the same outcomes to M2 and M4.
 """
 
 from __future__ import annotations
@@ -31,18 +37,34 @@ from .errors import (
     InvalidWidthError,
     UnknownMethodError,
 )
-from .initfit import ErfTable, InitConfig, m3_initial_fit, naive_peak, sigma_area_m1
+from .initfit import (
+    ErfTable,
+    InitConfig,
+    PeakEstimate,
+    m3_initial_fit_block,
+    naive_peak_block,
+    sigma_area_m1_block,
+)
 from .linfit import wls_trace
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
 from .signal import (
     GaussianParams,
     SampledSignal,
+    SignalBlock,
     eval_gaussian,
     log_transform,
     resolve_clamp_floor,
 )
 
-__all__ = ["METHOD_IDS", "MethodSpec", "reweighted_start", "run_method"]
+__all__ = [
+    "METHOD_IDS",
+    "MethodSpec",
+    "finish_method",
+    "reweighted_start",
+    "run_method",
+    "stage_one_block",
+    "start_weights",
+]
 
 METHOD_IDS = ("M1", "M2", "M3", "M4", "M5")
 
@@ -66,32 +88,51 @@ class MethodSpec:
             raise GaussFitError(f"m5_iters must be >= 1, got {self.m5_iters}")
 
 
-def _run_m1(signal: SampledSignal) -> FitResult:
-    peak = naive_peak(signal)
-    sigma = sigma_area_m1(signal, peak.amplitude_hat)
-    try:
-        params = GaussianParams(
-            amplitude=peak.amplitude_hat, mu=peak.mu_hat, sigma=sigma
-        )
-    except InvalidParamsError as err:  # a sample sum <= 0 gives no width
-        raise InvalidParamsError(str(err), stage="sigma_area_m1") from None
-    return FitResult(
-        params=params,
-        method="M1",
-        iterations_run=0,
-        diagnostics={"n_hat": peak.n_hat},
-    )
+def _m1_block(block: SignalBlock) -> list:
+    """M1 on every row: its :class:`FitResult` or its typed error."""
+    peaks = naive_peak_block(block)
+    amplitudes = [p.amplitude_hat if isinstance(p, PeakEstimate) else 1.0 for p in peaks]
+    outcomes: list = []
+    for peak, sigma in zip(peaks, sigma_area_m1_block(block, amplitudes).tolist()):
+        if isinstance(peak, PeakEstimate):
+            try:
+                params = GaussianParams(
+                    amplitude=peak.amplitude_hat, mu=peak.mu_hat, sigma=sigma
+                )
+            except InvalidParamsError as err:  # a sample sum <= 0 gives no width
+                peak = InvalidParamsError(str(err), stage="sigma_area_m1")
+            else:
+                peak = FitResult(params=params, method="M1", iterations_run=0,
+                                 diagnostics={"n_hat": peak.n_hat})
+        outcomes.append(peak)
+    return outcomes
 
 
-def reweighted_start(
-    spec: MethodSpec, signal: SampledSignal, table: ErfTable
+def stage_one_block(
+    spec: MethodSpec, block: SignalBlock, table: ErfTable
+) -> list | None:
+    """Stage-1 outcome of every row for ``spec``: the M1 fit (M1, M2) or
+    the split-area fit with ``spec.init`` (M3, M4), each a
+    :class:`FitResult` or the :class:`GaussFitError` it raised; ``None``
+    for M5, which has no stage 1."""
+    mid = spec.method_id
+    if mid in ("M1", "M2"):
+        return _m1_block(block)
+    if mid in ("M3", "M4"):
+        return m3_initial_fit_block(block, spec.init, table)
+    return None
+
+
+def start_weights(
+    spec: MethodSpec, signal: SampledSignal, stage1
 ) -> tuple[np.ndarray, str, dict]:
     """Starting weights of the M2, M4 or M5 iteration, with the status and
-    diagnostics its fit reports.
+    diagnostics its fit reports, given the stage-1 outcome (a
+    :class:`FitResult`, a :class:`GaussFitError`, or ``None`` for M5).
 
     M2 starts from the Gaussian of the M1 estimate, M4 from that of the M3
     estimate, and M5 from the clamped samples.  When stage 1 of M2/M4
-    raises, the iteration starts from the samples like M5, the status is
+    raised, the iteration starts from the samples like M5, the status is
     ``degenerate-fallback`` and ``diagnostics["stage1_error"]`` says why;
     otherwise status and diagnostics are those of stage 1.
     """
@@ -99,22 +140,51 @@ def reweighted_start(
     if mid not in ("M2", "M4", "M5"):
         raise GaussFitError(f"{mid} has no reweighting stage")
     status, diagnostics = CONVERGED, {}
-    stage1 = None
-    if mid != "M5":
-        try:
-            stage1 = (_run_m1(signal) if mid == "M2"
-                      else m3_initial_fit(signal, spec.init, table))
-        except GaussFitError as err:
-            status = DEGENERATE_FALLBACK
-            diagnostics["stage1_error"] = str(err)
-    if stage1 is not None:
+    if isinstance(stage1, GaussFitError):
+        status = DEGENERATE_FALLBACK
+        diagnostics["stage1_error"] = str(stage1)
+    elif stage1 is not None:
         w0 = eval_gaussian(stage1.params, signal.grid)
-        status = stage1.status
         diagnostics.update(stage1.diagnostics)
-    else:
-        floor = resolve_clamp_floor(signal, spec.clamp_floor)
-        w0 = np.exp(log_transform(signal, floor))
-    return w0, status, diagnostics
+        return w0, stage1.status, diagnostics
+    floor = resolve_clamp_floor(signal, spec.clamp_floor)
+    return np.exp(log_transform(signal, floor)), status, diagnostics
+
+
+def reweighted_start(
+    spec: MethodSpec, signal: SampledSignal, table: ErfTable
+) -> tuple[np.ndarray, str, dict]:
+    """:func:`start_weights` with stage 1 run on ``signal`` alone."""
+    return start_weights(spec, signal, _stage_one(spec, signal, table))
+
+
+def _stage_one(spec: MethodSpec, signal: SampledSignal, table: ErfTable):
+    outcomes = stage_one_block(spec, SignalBlock.of(signal), table)
+    return None if outcomes is None else outcomes[0]
+
+
+def finish_method(spec: MethodSpec, signal: SampledSignal | None, stage1) -> FitResult:
+    """:func:`run_method` for a signal whose stage-1 outcome (one row of
+    :func:`stage_one_block`) is known; M1 and M3 need no ``signal``."""
+    mid = spec.method_id
+    if mid in ("M1", "M3"):
+        if isinstance(stage1, GaussFitError):
+            raise stage1
+        return stage1
+    iters = spec.m5_iters if mid == "M5" else spec.stage2_iters
+    w0, status, diagnostics = start_weights(spec, signal, stage1)
+    last = wls_trace(signal, w0, iters, spec.clamp_floor)[-1]
+    if last.params is None:
+        raise InvalidWidthError("final iterate does not describe a Gaussian",
+                                stage="wls_trace", iteration=iters - 1)
+    return FitResult(
+        params=last.params,
+        coeffs=last.coeffs,
+        method=mid,
+        iterations_run=iters,
+        status=status,
+        diagnostics=diagnostics,
+    )
 
 
 def run_method(
@@ -128,26 +198,4 @@ def run_method(
     last iterate of M2/M4/M5 must describe a Gaussian; otherwise
     :class:`InvalidWidthError` is raised with its iteration index.
     """
-    mid = spec.method_id
-    if mid == "M1":
-        return _run_m1(signal)
-
-    if mid == "M3":
-        result = m3_initial_fit(signal, spec.init, table)
-        result.method = "M3"
-        return result
-
-    iters = spec.m5_iters if mid == "M5" else spec.stage2_iters
-    w0, status, diagnostics = reweighted_start(spec, signal, table)
-    last = wls_trace(signal, w0, iters, spec.clamp_floor)[-1]
-    if last.params is None:
-        raise InvalidWidthError("final iterate does not describe a Gaussian",
-                                stage="wls_trace", iteration=iters - 1)
-    return FitResult(
-        params=last.params,
-        coeffs=last.coeffs,
-        method=mid,
-        iterations_run=iters,
-        status=status,
-        diagnostics=diagnostics,
-    )
+    return finish_method(spec, signal, _stage_one(spec, signal, table))

@@ -6,6 +6,11 @@ output is bit-identical for a given seed regardless of call pattern or
 platform word size.  The mixing function is the splitmix64 finalizer over
 the counter, and normal variates come from the Box-Muller transform of
 consecutive uniform pairs.
+
+``raw64``, ``uniforms`` and ``normals`` take one seed or a sequence of
+seeds.  A sequence gives a ``(len(seeds), count)`` block whose row ``i``
+is bit-identical to the call with ``seeds[i]`` alone, so a block of trials
+draws its noise in one pass.
 """
 
 from __future__ import annotations
@@ -37,33 +42,45 @@ def mix_seed(*parts: int) -> int:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    """The splitmix64 finalizer, in place."""
+    z ^= z >> np.uint64(30)
+    z *= np.uint64(_MIX1)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(_MIX2)
+    z ^= z >> np.uint64(31)
+    return z
 
 
-def raw64(seed: int, count: int, offset: int = 0) -> np.ndarray:
-    """64-bit words ``offset .. offset+count-1`` of the stream."""
+def raw64(seed, count: int, offset: int = 0) -> np.ndarray:
+    """64-bit words ``offset .. offset+count-1`` of the stream, one row
+    per seed when ``seed`` is a sequence."""
     if count < 0:
         raise ValueError("count must be non-negative")
     idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
-    base = np.uint64((int(seed) & _MASK))
+    if np.ndim(seed) == 0:
+        base = np.uint64(int(seed) & _MASK)
+    else:
+        base = np.array([int(s) & _MASK for s in seed], dtype=np.uint64)[:, None]
     with np.errstate(over="ignore"):
         state = base + idx * np.uint64(_GOLDEN)
         return _mix64(state)
 
 
-def uniforms(seed: int, count: int, offset: int = 0) -> np.ndarray:
+def uniforms(seed, count: int, offset: int = 0) -> np.ndarray:
     """Uniform variates in the half-open interval (0, 1].
 
     The open-at-zero convention keeps ``log(u)`` finite, which the
     Box-Muller transform relies on.
     """
     bits = raw64(seed, count, offset)
-    return ((bits >> np.uint64(11)).astype(np.float64) + 1.0) * 2.0 ** -53
+    bits >>= np.uint64(11)
+    u = bits.astype(np.float64)
+    u += 1.0
+    u *= 2.0 ** -53
+    return u
 
 
-def normals(seed: int, count: int) -> np.ndarray:
+def normals(seed, count: int) -> np.ndarray:
     """Standard normal variates via Box-Muller over the uniform stream.
 
     Draw ``k`` consumes uniforms ``2*floor(k/2)`` and ``2*floor(k/2)+1``,
@@ -73,11 +90,13 @@ def normals(seed: int, count: int) -> np.ndarray:
         raise ValueError("count must be non-negative")
     pairs = (count + 1) // 2
     u = uniforms(seed, 2 * pairs)
-    u1 = u[0::2]
-    u2 = u[1::2]
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * np.pi * u2
-    out = np.empty(2 * pairs, dtype=np.float64)
-    out[0::2] = r * np.cos(theta)
-    out[1::2] = r * np.sin(theta)
-    return out[:count]
+    r = np.log(u[..., 0::2])
+    r *= -2.0
+    np.sqrt(r, out=r)
+    theta = 2.0 * np.pi * u[..., 1::2]
+    out = u  # each uniform pair is read before its normals overwrite it
+    for half, trig in ((0, np.cos), (1, np.sin)):
+        values = trig(theta)
+        values *= r
+        out[..., half::2] = values
+    return out[..., :count]

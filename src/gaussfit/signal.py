@@ -5,12 +5,19 @@ Taking its natural logarithm yields the quadratic ``a + b x + c x^2``,
 which is what the linear fitting routines estimate; the coefficient and
 parameter forms are interchangeable through :func:`coeffs_from_params`
 and :func:`params_from_coeffs`.
+
+Synthesis works on blocks: :func:`sample_gaussian_block` draws one noisy
+signal per row of a :class:`SignalBlock` (rows share one grid), evaluating
+the Gaussians and drawing the noise once for the whole block, and
+:func:`sample_gaussian` is a block of one.  Every row is bit-identical to
+the signal sampled alone.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -27,11 +34,13 @@ __all__ = [
     "GaussianParams",
     "LogPolyCoeffs",
     "SampledSignal",
+    "SignalBlock",
     "NoiseSpec",
     "eval_gaussian",
     "coeffs_from_params",
     "params_from_coeffs",
     "sample_gaussian",
+    "sample_gaussian_block",
     "log_transform",
     "default_clamp_floor",
     "read_signal_csv",
@@ -117,7 +126,46 @@ class SampledSignal:
     @property
     def grid(self) -> np.ndarray:
         """Abscissa values ``x[n]``."""
-        return self.x0 + self.delta_x * np.arange(self.samples.size)
+        return _grid(self.x0, self.delta_x, self.samples.size)
+
+
+def _grid(x0: float, delta_x: float, n: int) -> np.ndarray:
+    return x0 + delta_x * np.arange(n)
+
+
+@dataclass
+class SignalBlock:
+    """Rows of samples on one shared grid ``x[n] = x0 + n * delta_x``.
+
+    The unit of the batched estimators in :mod:`gaussfit.initfit`; their
+    scalar forms pass a single signal through :meth:`of`.  Rows are not
+    validated again: a block comes from checked signals or from
+    :func:`sample_gaussian_block`, which checks its rows.
+    """
+
+    delta_x: float
+    samples: np.ndarray  # (rows, n), C-contiguous
+    x0: float = 0.0
+    noise_powers: list | None = None  # one per row, for synthetic data
+
+    @classmethod
+    def of(cls, signal: SampledSignal) -> "SignalBlock":
+        """A block of one row sharing ``signal``'s samples."""
+        return cls(signal.delta_x, signal.samples[None, :], signal.x0,
+                   [signal.noise_power])
+
+    def __len__(self) -> int:
+        return self.samples.shape[0]
+
+    @property
+    def grid(self) -> np.ndarray:
+        """Abscissa values ``x[n]`` shared by every row."""
+        return _grid(self.x0, self.delta_x, self.samples.shape[1])
+
+    def row(self, i: int) -> SampledSignal:
+        """Row ``i`` as a signal (a view of the block's samples)."""
+        power = None if self.noise_powers is None else self.noise_powers[i]
+        return SampledSignal(self.delta_x, self.samples[i], self.x0, power)
 
 
 @dataclass(frozen=True)
@@ -137,10 +185,20 @@ class NoiseSpec:
         return amplitude**2 / 10.0 ** (self.snr_db / 10.0)
 
 
+def _gaussian(amplitude, mu, sigma, x):
+    """``A exp(-z^2 / 2)`` with ``z = (x - mu) / sigma``; the parameters are
+    floats, or ``(rows, 1)`` columns giving one Gaussian per row of ``x``."""
+    z = x - mu
+    z /= sigma
+    g = -0.5 * z
+    g *= z
+    return amplitude * np.exp(g)
+
+
 def eval_gaussian(params: GaussianParams, x):
     """Evaluate the Gaussian at ``x`` (scalar or array)."""
-    z = (np.asarray(x, dtype=np.float64) - params.mu) / params.sigma
-    out = params.amplitude * np.exp(-0.5 * z * z)
+    out = _gaussian(params.amplitude, params.mu, params.sigma,
+                    np.asarray(x, dtype=np.float64))
     return float(out) if np.ndim(x) == 0 else out
 
 
@@ -192,18 +250,42 @@ def sample_gaussian(
     Noise variates are zero-mean normals of variance
     ``A^2 / 10^(snr_db/10)`` drawn from the seeded stream; the sequence is
     bit-identical across runs for equal ``(snr_db, seed, n_samples)``.
+    A block of one of :func:`sample_gaussian_block`.
+    """
+    noises = None if noise is None else [noise]
+    return sample_gaussian_block([params], delta_x, n_samples, noises).row(0)
+
+
+def sample_gaussian_block(
+    truths,
+    delta_x: float,
+    n_samples: int,
+    noises=None,
+) -> SignalBlock:
+    """One row per Gaussian of ``truths``, sampled on ``x[n] = n * delta_x``
+    with the noise of the matching entry of ``noises`` (if given).
+
+    The Gaussians are evaluated as one ``(rows, n_samples)`` block and the
+    noise is drawn as one block from the per-row seeds; the stream is
+    counter based, so row ``i`` equals ``sample_gaussian(truths[i],
+    delta_x, n_samples, noises[i])`` bit for bit.
     """
     if not (math.isfinite(delta_x) and delta_x > 0):
         raise InvalidGridError(f"delta_x must be finite and > 0, got {delta_x!r}")
     if n_samples < 3:
         raise InvalidGridError(f"need at least 3 samples, got {n_samples}")
-    x = delta_x * np.arange(n_samples)
-    y = eval_gaussian(params, x)
-    noise_power = None
-    if noise is not None:
-        noise_power = noise.noise_power_for(params.amplitude)
-        y = y + math.sqrt(noise_power) * rng.normals(noise.seed, n_samples)
-    return SampledSignal(delta_x=delta_x, samples=y, x0=0.0, noise_power=noise_power)
+    columns = np.array([(p.amplitude, p.mu, p.sigma) for p in truths]).T[:, :, None]
+    y = _gaussian(*columns, delta_x * np.arange(n_samples))
+    noise_powers = None
+    if noises is not None:
+        noise_powers = [noise.noise_power_for(p.amplitude)
+                        for p, noise in zip(truths, noises, strict=True)]
+        noise = rng.normals([noise.seed for noise in noises], n_samples)
+        noise *= np.array([math.sqrt(power) for power in noise_powers])[:, None]
+        y += noise
+    if not np.isfinite(y).all():
+        raise InvalidGridError("samples must all be finite")
+    return SignalBlock(delta_x=delta_x, samples=y, x0=0.0, noise_powers=noise_powers)
 
 
 def default_clamp_floor(signal: SampledSignal) -> float:
@@ -251,12 +333,15 @@ def write_signal_csv(signal: SampledSignal, path) -> None:
 
 def read_two_column_csv(
     path, names: tuple[str, str], min_rows: int
-) -> tuple[list[float], list[float]]:
-    """The two finite numeric columns of a CSV headed ``names``.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The two finite numeric columns of a CSV headed ``names``, and the
+    1-based file line of each row.
 
     The header is compared case-insensitively and blank lines are
-    skipped.  Every failure is a :class:`ParseError` carrying the 1-based
-    line it concerns.
+    skipped.  All cells are converted at once, by ``float`` as for a
+    single cell; only when that fails is the first bad row looked for.
+    Every failure is a :class:`ParseError` carrying the 1-based line it
+    concerns.
     """
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
@@ -266,26 +351,44 @@ def read_two_column_csv(
     if header != list(names):
         raise ParseError(f"expected header {','.join(names)!r}, got {lines[0]!r}",
                          line=1)
-    first: list[float] = []
-    second: list[float] = []
-    for i, raw in enumerate(lines[1:], start=2):
-        if not raw.strip():
-            continue
+    rows = [raw for raw in lines[1:] if raw.strip()]
+    if len(rows) == len(lines) - 1:
+        numbers = np.arange(2, len(lines) + 1)
+    else:
+        numbers = np.array([i for i, raw in enumerate(lines[1:], start=2) if raw.strip()],
+                           dtype=np.intp)
+    values = np.empty(0)
+    # with one comma in every row, the flat list of cells pairs up row by row
+    if rows:
+        values = None
+        if set(map(str.count, rows, repeat(","))) == {1}:
+            try:
+                values = np.array(",".join(rows).split(","), dtype=np.float64)
+            except ValueError:
+                pass
+    if values is None or not np.isfinite(values).all():
+        _raise_first_bad_row(rows, numbers)
+    if len(rows) < min_rows:
+        raise ParseError(f"need at least {min_rows} data rows, got {len(rows)}",
+                         line=len(lines))
+    first, second = values.reshape(-1, 2).T.copy()
+    return first, second, numbers
+
+
+def _raise_first_bad_row(rows: list[str], numbers: np.ndarray) -> None:
+    """Raise the :class:`ParseError` of the first row that is not two finite
+    numbers."""
+    for raw, line in zip(rows, numbers.tolist()):
         cells = raw.split(",")
         if len(cells) != 2:
-            raise ParseError(f"expected 2 columns, got {len(cells)}", line=i)
+            raise ParseError(f"expected 2 columns, got {len(cells)}", line=line)
         try:
             u, v = float(cells[0]), float(cells[1])
         except ValueError:
-            raise ParseError(f"non-numeric row {raw!r}", line=i) from None
+            raise ParseError(f"non-numeric row {raw!r}", line=line) from None
         if not (math.isfinite(u) and math.isfinite(v)):
-            raise ParseError(f"non-finite row {raw!r}", line=i)
-        first.append(u)
-        second.append(v)
-    if len(first) < min_rows:
-        raise ParseError(f"need at least {min_rows} data rows, got {len(first)}",
-                         line=len(lines))
-    return first, second
+            raise ParseError(f"non-finite row {raw!r}", line=line)
+    raise ParseError("malformed rows")  # unreachable: a failed conversion has a bad row
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -293,17 +396,18 @@ def read_signal_csv(path) -> SampledSignal:
 
     The header row is required, rows must be sorted by ``x``, and spacing
     must be uniform to 1e-9 relative tolerance; ``delta_x`` is inferred
-    from the first two rows.
+    from the first two rows.  Errors name the file line of the bad row.
     """
-    xs, ys = read_two_column_csv(path, ("x", "y"), min_rows=3)
-    delta_x = xs[1] - xs[0]
+    xs, ys, lines = read_two_column_csv(path, ("x", "y"), min_rows=3)
+    delta_x = float(xs[1] - xs[0])
     if delta_x <= 0:
-        raise ParseError("x column must be strictly increasing", line=3)
-    for i in range(1, len(xs)):
-        step = xs[i] - xs[i - 1]
-        if abs(step - delta_x) > 1e-9 * abs(delta_x):
-            raise ParseError(
-                f"non-uniform spacing: step {step!r} vs delta_x {delta_x!r}",
-                line=i + 2,
-            )
-    return SampledSignal(delta_x=delta_x, samples=np.array(ys), x0=xs[0])
+        raise ParseError("x column must be strictly increasing", line=int(lines[1]))
+    steps = xs[1:] - xs[:-1]
+    bad = np.flatnonzero(np.abs(steps - delta_x) > 1e-9 * abs(delta_x))
+    if bad.size:
+        i = int(bad[0])
+        raise ParseError(
+            f"non-uniform spacing: step {float(steps[i])!r} vs delta_x {delta_x!r}",
+            line=int(lines[i + 1]),
+        )
+    return SampledSignal(delta_x=delta_x, samples=ys, x0=float(xs[0]))

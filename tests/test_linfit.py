@@ -326,7 +326,7 @@ def test_trace_equals_plain_oracle_bit_for_bit():
     formulation: equal coefficients at every iterate and an equal raised
     iteration index, including the M5 collapse trials of the standard
     protocol (seed 7, 12 dB)."""
-    from gaussfit.bench import BenchConfig, _trial_signal
+    from gaussfit.bench import BenchConfig, _trial_blocks
 
     base = _noiseless()
     cases = [(base, np.ones(GRID_N), TINY_FLOOR)]
@@ -335,10 +335,12 @@ def test_trace_equals_plain_oracle_bit_for_bit():
         cases.append((sig, *_m5_start(sig)))
     shifted = SampledSignal(delta_x=GRID_DX, samples=cases[1][0].samples, x0=-37.5)
     cases.append((shifted, *_m5_start(shifted)))
-    config = BenchConfig(trials=2000, master_seed=7)
+    config = BenchConfig(trials=80, master_seed=7)
     collapse = {2: 7, 15: 9, 44: 8, 74: 6}
+    signals = [block.row(i) for block, _, _ in _trial_blocks(config, 0, 12.0)
+               for i in range(len(block))]
     for trial in collapse:
-        sig = _trial_signal(config, 0, trial, 12.0)[0]
+        sig = signals[trial]
         cases.append((sig, *_m5_start(sig)))
 
     raised_at = []

@@ -226,3 +226,40 @@ def test_signal_csv_errors(tmp_path):
     with pytest.raises(ParseError) as err:
         read_signal_csv(path)
     assert err.value.line == 3
+
+    # a blank line before the bad row: the error names the file line
+    path.write_text("x,y\n0,1\n\n1,2\n2,3\n3.5,4\n")
+    with pytest.raises(ParseError) as err:
+        read_signal_csv(path)
+    assert err.value.line == 6
+
+    path.write_text("x,y\n\n1,1\n\n0,2\n1,3\n")
+    with pytest.raises(ParseError, match="strictly increasing") as err:
+        read_signal_csv(path)
+    assert err.value.line == 5
+
+    # a short row and a long row must not pair up into two columns
+    path.write_text("x,y\n0,1\n1\n2,3,4\n3,4\n")
+    with pytest.raises(ParseError, match="expected 2 columns, got 1") as err:
+        read_signal_csv(path)
+    assert err.value.line == 3
+
+    path.write_text("x,y\n0,1\n1,2\n2,nan\n")
+    with pytest.raises(ParseError, match="non-finite row") as err:
+        read_signal_csv(path)
+    assert err.value.line == 4
+
+
+def test_signal_csv_cells_parse_like_float(tmp_path):
+    """Cells convert as ``float`` converts them: underscores, non-ASCII
+    digits and surrounding blanks are accepted; the samples come back as
+    one contiguous array."""
+    path = tmp_path / "sig.csv"
+    path.write_text("X, Y \n0, 1_0\n1,٢\n2 ,3.5\n")
+    sig = read_signal_csv(path)
+    assert sig.samples.tolist() == [10.0, 2.0, 3.5]
+    assert sig.samples.flags.c_contiguous
+    assert (sig.x0, sig.delta_x) == (0.0, 1.0)
+    path.write_text("x,y\n0,1\n1,2\n2.5,3\n")
+    with pytest.raises(ParseError, match=r"step 1\.5 vs delta_x 1\.0"):
+        read_signal_csv(path)
