@@ -318,7 +318,8 @@ def _rho_rows(samples: np.ndarray, grid: np.ndarray, mu_hat: np.ndarray,
     the denominators, as Python floats."""
     contrib = samples * samples
     lever = mu_hat[:, None] - grid
-    np.power(lever, 4, out=lever)
+    np.square(lever, out=lever)
+    np.square(lever, out=lever)  # (mu_hat - x)^4 as a squared square
     contrib *= lever
     del lever
     denoms = contrib.sum(axis=1).tolist()

@@ -143,7 +143,8 @@ def _oracle_m3(sig, config, table):
         rho, sigma, status = 0.0, widths["beta"], DEGENERATE_FALLBACK
         diagnostics["fallback"] = "beta-only"
     else:
-        contrib = y * y * (mu_hat - sig.grid) ** 4
+        z2 = (mu_hat - sig.grid) ** 2
+        contrib = y * y * (z2 * z2)
         denom = float(np.sum(contrib))
         if not math.isfinite(denom) or denom <= 0:
             raise DegenerateRhoError(f"weight denominator is {denom!r}",
