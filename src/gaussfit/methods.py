@@ -94,17 +94,15 @@ def _m1_block(block: SignalBlock) -> list:
     amplitudes = [p.amplitude_hat if isinstance(p, PeakEstimate) else 1.0 for p in peaks]
     outcomes: list = []
     for peak, sigma in zip(peaks, sigma_area_m1_block(block, amplitudes).tolist()):
+        outcome = peak
         if isinstance(peak, PeakEstimate):
             try:
-                params = GaussianParams(
-                    amplitude=peak.amplitude_hat, mu=peak.mu_hat, sigma=sigma
-                )
+                params = GaussianParams(peak.amplitude_hat, peak.mu_hat, sigma)
+                outcome = FitResult(params=params, method="M1", iterations_run=0,
+                                    diagnostics={"n_hat": peak.n_hat})
             except InvalidParamsError as err:  # a sample sum <= 0 gives no width
-                peak = InvalidParamsError(str(err), stage="sigma_area_m1")
-            else:
-                peak = FitResult(params=params, method="M1", iterations_run=0,
-                                 diagnostics={"n_hat": peak.n_hat})
-        outcomes.append(peak)
+                outcome = InvalidParamsError(str(err), stage="sigma_area_m1")
+        outcomes.append(outcome)
     return outcomes
 
 

@@ -16,6 +16,7 @@ the signal sampled alone.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import repeat
 
@@ -280,9 +281,9 @@ def sample_gaussian_block(
     if noises is not None:
         noise_powers = [noise.noise_power_for(p.amplitude)
                         for p, noise in zip(truths, noises, strict=True)]
-        noise = rng.normals([noise.seed for noise in noises], n_samples)
-        noise *= np.array([math.sqrt(power) for power in noise_powers])[:, None]
-        y += noise
+        draws = rng.normals([noise.seed for noise in noises], n_samples)
+        draws *= np.array([math.sqrt(power) for power in noise_powers])[:, None]
+        y += draws
     if not np.isfinite(y).all():
         raise InvalidGridError("samples must all be finite")
     return SignalBlock(delta_x=delta_x, samples=y, x0=0.0, noise_powers=noise_powers)
@@ -333,7 +334,7 @@ def write_signal_csv(signal: SampledSignal, path) -> None:
 
 def read_two_column_csv(
     path, names: tuple[str, str], min_rows: int
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, Sequence[int]]:
     """The two finite numeric columns of a CSV headed ``names``, and the
     1-based file line of each row.
 
@@ -352,11 +353,8 @@ def read_two_column_csv(
         raise ParseError(f"expected header {','.join(names)!r}, got {lines[0]!r}",
                          line=1)
     rows = [raw for raw in lines[1:] if raw.strip()]
-    if len(rows) == len(lines) - 1:
-        numbers = np.arange(2, len(lines) + 1)
-    else:
-        numbers = np.array([i for i, raw in enumerate(lines[1:], start=2) if raw.strip()],
-                           dtype=np.intp)
+    numbers = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1
+               else [i for i, raw in enumerate(lines[1:], start=2) if raw.strip()])
     values = np.empty(0)
     # with one comma in every row, the flat list of cells pairs up row by row
     if rows:
@@ -375,10 +373,10 @@ def read_two_column_csv(
     return first, second, numbers
 
 
-def _raise_first_bad_row(rows: list[str], numbers: np.ndarray) -> None:
+def _raise_first_bad_row(rows: list[str], numbers: Sequence[int]) -> None:
     """Raise the :class:`ParseError` of the first row that is not two finite
     numbers."""
-    for raw, line in zip(rows, numbers.tolist()):
+    for raw, line in zip(rows, numbers):
         cells = raw.split(",")
         if len(cells) != 2:
             raise ParseError(f"expected 2 columns, got {len(cells)}", line=line)
@@ -388,7 +386,7 @@ def _raise_first_bad_row(rows: list[str], numbers: np.ndarray) -> None:
             raise ParseError(f"non-numeric row {raw!r}", line=line) from None
         if not (math.isfinite(u) and math.isfinite(v)):
             raise ParseError(f"non-finite row {raw!r}", line=line)
-    raise ParseError("malformed rows")  # unreachable: a failed conversion has a bad row
+    raise ParseError("malformed rows")  # not reached: a failed conversion has a bad row
 
 
 def read_signal_csv(path) -> SampledSignal:
@@ -401,13 +399,13 @@ def read_signal_csv(path) -> SampledSignal:
     xs, ys, lines = read_two_column_csv(path, ("x", "y"), min_rows=3)
     delta_x = float(xs[1] - xs[0])
     if delta_x <= 0:
-        raise ParseError("x column must be strictly increasing", line=int(lines[1]))
+        raise ParseError("x column must be strictly increasing", line=lines[1])
     steps = xs[1:] - xs[:-1]
     bad = np.flatnonzero(np.abs(steps - delta_x) > 1e-9 * abs(delta_x))
     if bad.size:
         i = int(bad[0])
         raise ParseError(
             f"non-uniform spacing: step {float(steps[i])!r} vs delta_x {delta_x!r}",
-            line=int(lines[i + 1]),
+            line=lines[i + 1],
         )
     return SampledSignal(delta_x=delta_x, samples=ys, x0=float(xs[0]))
