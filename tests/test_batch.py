@@ -8,6 +8,7 @@ class, stage and message.
 """
 
 import math
+import types
 
 import numpy as np
 import pytest
@@ -31,6 +32,7 @@ from gaussfit import (
     SignalBlock,
     bench,
     build_erf_table,
+    finish_method,
     m3_initial_fit,
     m3_initial_fit_block,
     rng,
@@ -339,6 +341,35 @@ def test_reports_do_not_depend_on_chunk_size(mode, erf_table, monkeypatch):
         monkeypatch.setattr(bench, "_CHUNK", chunk)
         reports.append(_report_bytes(run(config, erf_table)))
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(erf_table,
+                                                                     monkeypatch):
+    """M2 and M4 reuse the chunk's M1 and M3 outcomes, and with timing each
+    method is charged its own time plus its per-row share of the batched
+    stage it uses.  A fake clock advances only inside the two hooks."""
+    clock = [0.0]
+    monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
+    stage_cost = {"M1": 1.0, "M3": 10.0, "M5": 0.0}
+    calls = []
+
+    def stage_one(spec, block, table):
+        calls.append(spec.method_id)
+        clock[0] += stage_cost[spec.method_id] * len(block)
+        return stage_one_block(spec, block, table)
+
+    def finish(spec, signal, outcome):
+        clock[0] += 100.0 if spec.method_id in ("M2", "M4", "M5") else 0.0
+        return finish_method(spec, signal, outcome)
+
+    monkeypatch.setattr(bench, "stage_one_block", stage_one)
+    monkeypatch.setattr(bench, "finish_method", finish)
+    config = BenchConfig(trials=13, master_seed=7, snr_start_db=12.0, snr_stop_db=12.0,
+                         m5_iters=2, timing=True)
+    report = run_bench_snr(config, erf_table)
+    assert calls == ["M1", "M3", "M5"] * 2  # chunks of 8 and 5 trials
+    times = {m: report.mean_time_us(m, 12.0) for m in ("M1", "M2", "M3", "M4", "M5")}
+    assert times == {"M1": 1e6, "M2": 101e6, "M3": 10e6, "M4": 110e6, "M5": 100e6}
 
 
 # ------------------------------------------------------------- property
