@@ -170,12 +170,11 @@ def naive_peak_block(block: SignalBlock) -> list:
     """:func:`naive_peak` of every row: its :class:`PeakEstimate`, or the
     :class:`NoPeakError` of a row without a positive sample."""
     y = block.samples
-    n_hat = np.argmax(y, axis=1)
-    heights = y[np.arange(len(y)), n_hat]
-    mu_hat = block.x0 + n_hat * block.delta_x
-    return [PeakEstimate(n_hat=i, mu_hat=m, amplitude_hat=a) if a > 0
+    n_hat = y.argmax(axis=1)
+    x0, dx = block.x0, block.delta_x
+    return [PeakEstimate(n_hat=i, mu_hat=x0 + i * dx, amplitude_hat=a) if a > 0
             else NoPeakError("all samples are non-positive", stage="naive_peak")
-            for i, m, a in zip(n_hat.tolist(), mu_hat.tolist(), heights.tolist())]
+            for i, a in zip(n_hat.tolist(), y[np.arange(len(y)), n_hat].tolist())]
 
 
 def naive_peak(signal: SampledSignal) -> PeakEstimate:
@@ -183,12 +182,13 @@ def naive_peak(signal: SampledSignal) -> PeakEstimate:
     return _single(naive_peak_block(SignalBlock.of(signal)))
 
 
-def sigma_area_m1_block(block: SignalBlock, amplitudes) -> np.ndarray:
+def sigma_area_m1_block(block: SignalBlock, amplitudes) -> list[float]:
     """:func:`sigma_area_m1` of every row with that row's amplitude, which
     must be finite and positive (as every peak of :func:`naive_peak_block`
     is)."""
-    totals = block.samples.sum(axis=1) * block.delta_x
-    return totals / (np.asarray(amplitudes, dtype=np.float64) * _SQRT_2PI)
+    dx = block.delta_x
+    return [total * dx / (a * _SQRT_2PI)
+            for total, a in zip(block.samples.sum(axis=1).tolist(), amplitudes)]
 
 
 def sigma_area_m1(signal: SampledSignal, amplitude_hat: float) -> float:
@@ -202,7 +202,7 @@ def sigma_area_m1(signal: SampledSignal, amplitude_hat: float) -> float:
     """
     if not (math.isfinite(amplitude_hat) and amplitude_hat > 0):
         raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
-    return float(sigma_area_m1_block(SignalBlock.of(signal), [amplitude_hat])[0])
+    return sigma_area_m1_block(SignalBlock.of(signal), [amplitude_hat])[0]
 
 
 def _window_peaks(block: SignalBlock, window_l: int):

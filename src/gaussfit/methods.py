@@ -93,7 +93,7 @@ def _m1_block(block: SignalBlock) -> list:
     peaks = naive_peak_block(block)
     amplitudes = [p.amplitude_hat if isinstance(p, PeakEstimate) else 1.0 for p in peaks]
     outcomes: list = []
-    for peak, sigma in zip(peaks, sigma_area_m1_block(block, amplitudes).tolist()):
+    for peak, sigma in zip(peaks, sigma_area_m1_block(block, amplitudes)):
         outcome = peak
         if isinstance(peak, PeakEstimate):
             try:
