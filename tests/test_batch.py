@@ -277,13 +277,16 @@ def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
 
 def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
     """Low-SNR trials of the standard protocol reach the converged, both
-    one-sided fallback and both no-peak outcomes of the split-area fit; a
-    row whose sides both sum below zero gives no usable area.  Every such
+    one-sided fallback and both no-peak outcomes of the split-area fit, and
+    trial 1893 of seed 3 at -10 dB (1 in 2000) has no usable area on either
+    side, like a hand-made row whose sides both sum below zero.  Every such
     row of an 8-row block equals the oracle."""
     config = BenchConfig(trials=400, master_seed=3)
     init = InitConfig()
     blocks = [block for snr_db in (-10.0, -3.0)
               for block, _, _ in _blocks(config, snr_db, 8, monkeypatch)]
+    rare = _blocks(BenchConfig(trials=1896, master_seed=3), -10.0, 8, monkeypatch)
+    blocks.append(rare[1893 // 8][0])
     no_area = [-5.0, -5.0, 1.0, 2.0, 1.0, -5.0, -5.0]
     blocks.append(SignalBlock(delta_x=0.5, samples=np.array([
         no_area, [0.1, 0.5, 1.0, 2.0, 1.0, 0.5, 0.1], no_area[::-1]])))
