@@ -46,13 +46,11 @@ from .initfit import (
     m3_initial_fit,
     m3_initial_fit_block,
     naive_peak,
-    naive_peak_block,
     partial_areas,
     read_erf_table_csv,
     refine_amplitude,
     rho_from_samples,
     sigma_area_m1,
-    sigma_area_m1_block,
     sigma_from_area,
     windowed_peak,
     write_erf_table_csv,
@@ -61,10 +59,8 @@ from .linfit import weighted_ls_solve, weights_from_params, wls_trace
 from .methods import (
     METHOD_IDS,
     MethodSpec,
-    finish_method,
-    reweighted_start,
     run_method,
-    stage_one_block,
+    stage_one,
     start_weights,
 )
 from .results import CONVERGED, DEGENERATE_FALLBACK, FAILED, FitResult, WlsStep, WlsTrace
@@ -81,7 +77,6 @@ from .signal import (
     params_from_coeffs,
     read_signal_csv,
     sample_gaussian,
-    sample_gaussian_block,
     write_signal_csv,
 )
 

@@ -17,12 +17,14 @@ parallel worker processes without changing any reported value (timing
 measurements excepted, which is why they are off by default).
 
 Trials run in chunks of ``_CHUNK``: a chunk's truths and noise are drawn
-as one :class:`gaussfit.signal.SignalBlock`, stage 1 runs once over the
-block (:func:`gaussfit.methods.stage_one_block`; M1 for M1 and M2, the
-split-area fit for M3 and M4 when their ``init`` is equal), and each
-method then finishes row by row from those outcomes.  Every row equals the
-trial computed alone, so the reports do not depend on the chunk size.
-With ``timing`` on, a method is charged its own per-row time plus its
+as one :class:`gaussfit.signal.SignalBlock`, and every method then runs
+on the block's rows one trial at a time through
+:func:`gaussfit.methods.run_method`.  Stage 1 runs once over the block,
+when the first row asks (:func:`gaussfit.methods.stage_one`; M1 for M1
+and M2, the split-area fit for M3 and M4 when their ``init`` is equal).
+Every row equals the trial computed alone, so the reports do not depend
+on the chunk size.  With ``timing`` on, stage 1 is run and timed ahead of
+the chunk's trials, and a method is charged its own per-row time plus its
 per-row share of every batched stage it uses, so M4's mean time still
 includes the split-area initializer.
 
@@ -43,15 +45,9 @@ from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, build_erf_table
 from .linfit import wls_trace
-from .methods import (
-    METHOD_IDS,
-    MethodSpec,
-    finish_method,
-    stage_one_block,
-    start_weights,
-)
+from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, start_weights
 from .results import CONVERGED
-from .signal import GaussianParams, NoiseSpec, sample_gaussian_block
+from .signal import GaussianParams, NoiseSpec, sample_gaussian
 
 __all__ = [
     "BenchConfig",
@@ -214,36 +210,43 @@ def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
                   for m, s in zip(mus, sigmas)]
         noises = [NoiseSpec(snr_db=snr_db, seed=rng.mix_seed(s, _NOISE_TAG))
                   for s in seeds]
-        block = sample_gaussian_block(truths, config.delta_x, config.n_samples, noises)
+        block = sample_gaussian(truths, config.delta_x, config.n_samples, noises)
         yield block, truths, seeds
 
 
 def _trials(config: BenchConfig, sweep_idx: int, snr_db: float,
             specs: list[MethodSpec], table: ErfTable):
-    """Yield ``(trial index, seed, truth, signal, stage1)`` for every trial,
-    a chunk at a time.  ``stage1`` holds, per spec, the trial's stage-1
-    outcome and the per-row seconds of the batched stage (0 without
-    ``timing``); M1 and M2 share one run of M1, and M3 and M4 one run of
-    the split-area fit when their ``init`` is equal.  ``signal`` is
-    ``None`` when no method iterates, since M1 and M3 finish without it."""
-    iterating = any(spec.method_id in ("M2", "M4", "M5") for spec in specs)
+    """Yield ``(trial index, seed, truth, signal, shares)`` for every trial,
+    a chunk at a time.  ``signal`` is a row of the chunk's block, so stage
+    1 runs once per chunk; ``shares`` holds, per spec, the per-row seconds
+    of the batched stage 1 it uses (0 without ``timing``)."""
     first = 0
     for block, truths, seeds in _trial_blocks(config, sweep_idx, snr_db):
-        shared: dict = {}
-        per_spec = []
-        for spec in specs:
-            family = {"M2": "M1", "M4": "M3"}.get(spec.method_id, spec.method_id)
-            key = (family, spec.init if family == "M3" else None)
-            if key not in shared:
-                t0 = time.perf_counter()
-                outcomes = stage_one_block(spec, block, table) or [None] * len(block)
-                share = (time.perf_counter() - t0) / len(block) if config.timing else 0.0
-                shared[key] = (outcomes, share)
-            per_spec.append(shared[key])
-        for i, (seed, truth) in enumerate(zip(seeds, truths)):
-            signal = block.row(i) if iterating else None
-            yield first + i, seed, truth, signal, [(o[i], share) for o, share in per_spec]
-        first += len(block)
+        rows = [block.row(i) for i in range(len(block))]
+        shares = [0.0] * len(specs)
+        if config.timing:
+            shares = _stage_one_shares(specs, rows[0], table, len(rows))
+        for i, (seed, truth, signal) in enumerate(zip(seeds, truths, rows)):
+            yield first + i, seed, truth, signal, shares
+        first += len(rows)
+
+
+def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
+                      rows: int) -> list[float]:
+    """Run stage 1 of every spec on ``signal``'s block ahead of its trials;
+    per spec, the seconds per row of the run it shares (M2 that of M1, M4
+    that of M3 with an equal ``init``)."""
+    measured: dict = {}
+    shares = []
+    for spec in specs:
+        family = {"M2": "M1", "M4": "M3"}.get(spec.method_id, spec.method_id)
+        key = (family, spec.init if family == "M3" else None)
+        if key not in measured:
+            t0 = time.perf_counter()
+            stage_one(spec, signal, table)
+            measured[key] = (time.perf_counter() - t0) / rows
+        shares.append(measured[key])
+    return shares
 
 
 class _CellAccumulator:
@@ -279,13 +282,13 @@ def _snr_point(config: BenchConfig, table: ErfTable, sweep_idx: int):
     specs = [config.method_spec(mid) for mid in config.methods]
     cells = {mid: _CellAccumulator(config.trials) for mid in config.methods}
     seeds = []
-    for t, seed, truth, signal, stage1 in _trials(config, sweep_idx, snr_db, specs, table):
+    for t, seed, truth, signal, shares in _trials(config, sweep_idx, snr_db, specs, table):
         seeds.append(seed)
-        for spec, (outcome, share) in zip(specs, stage1):
+        for spec, share in zip(specs, shares):
             cell = cells[spec.method_id]
             t0 = time.perf_counter() if config.timing else 0.0
             try:
-                fit = finish_method(spec, signal, outcome)
+                fit = run_method(spec, signal, table)
                 estimate, converged = fit.params, fit.status == CONVERGED
             except GaussFitError:
                 estimate, converged = None, False
@@ -368,18 +371,19 @@ def _iters_point(config: BenchConfig, table: ErfTable):
         for mid in config.methods
     }
     seeds = []
-    for t, seed, truth, signal, stage1 in _trials(config, 0, snr_db, specs, table):
+    for t, seed, truth, signal, shares in _trials(config, 0, snr_db, specs, table):
         seeds.append(seed)
-        for spec, (outcome, share) in zip(specs, stage1):
+        for spec, share in zip(specs, shares):
             mid = spec.method_id
             t0 = time.perf_counter() if config.timing else 0.0
             try:
                 if mid in ("M1", "M3"):
                     # no iterative stage: constant across the sweep
-                    fit = finish_method(spec, signal, outcome)
+                    fit = run_method(spec, signal, table)
                     outcomes = [(fit.params, fit.status == CONVERGED)] * len(sweep)
                 else:
-                    w0, status, _ = start_weights(spec, signal, outcome)
+                    stage1 = stage_one(spec, signal, table)
+                    w0, status, _ = start_weights(spec, signal, stage1)
                     try:
                         trace = wls_trace(signal, w0, max_iters, spec.clamp_floor)
                     except SingularSystemError as err:

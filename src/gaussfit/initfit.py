@@ -14,17 +14,20 @@ The lookup table stores ``erf(k / sqrt 2)`` on a fixed k grid.  Because
 the half-width enters the area equations only through ``k = halfwidth /
 sigma``, one table serves every signal regardless of its scale.
 
-Both pipelines work on a :class:`gaussfit.signal.SignalBlock`, rows that
-share one grid: :func:`naive_peak_block`, :func:`sigma_area_m1_block` and
-:func:`m3_initial_fit_block` take every row's moving-average peak, table
-lookup, ``rho`` weights and template dot products as whole-block array
-operations, and only the decisions (fallbacks, statuses, diagnostics,
-typed errors with their stage labels) are made row by row.  The scalar
-functions are blocks of one, so there is one implementation of each
-stage.  The sums over a row's slice (the partial areas and the ``rho``
-numerator) stay one ``np.sum`` per row, because pairwise summation
-depends on the slice; everything else equals the row computed alone bit
-for bit.
+Both pipelines work on blocks of signals that share one grid
+(:class:`gaussfit.signal.SignalBlock`).  Every stage function takes a
+block in place of the signal, with one value per row for its other
+inputs, and returns a list with every row's result, an error of a row
+taking that row's place; :func:`sigma_from_area` takes arrays in place of
+its numbers.  A stage computes the moving-average peaks, table lookups,
+``rho`` weights and template products as whole-block array operations;
+only the decisions (fallbacks, statuses, diagnostics, typed errors with
+their stage labels) are made row by row, in :func:`m3_initial_fit_block`.
+Given one signal, a stage runs on a block of one, so there is one
+implementation of each stage.  The sums over a row's slice (the partial
+areas and the ``rho`` numerator) and the template dot products stay one
+numpy call per row, because their rounding depends on the slice; every
+row equals the row computed alone bit for bit.
 """
 
 from __future__ import annotations
@@ -54,9 +57,7 @@ __all__ = [
     "ErfTable",
     "InitConfig",
     "naive_peak",
-    "naive_peak_block",
     "sigma_area_m1",
-    "sigma_area_m1_block",
     "windowed_peak",
     "partial_areas",
     "build_erf_table",
@@ -166,32 +167,29 @@ def _single(outcomes: list):
     return outcomes[0]
 
 
-def naive_peak_block(block: SignalBlock) -> list:
-    """:func:`naive_peak` of every row: its :class:`PeakEstimate`, or the
-    :class:`NoPeakError` of a row without a positive sample."""
-    y = block.samples
-    n_hat = y.argmax(axis=1)
-    x0, dx = block.x0, block.delta_x
+def naive_peak(signal: SampledSignal | SignalBlock):
+    """Largest sample and its index; ties go to the smallest index.
+
+    Given a :class:`SignalBlock`, a list with every row's peak, or the
+    :class:`NoPeakError` of a row without a positive sample.
+    """
+    if not isinstance(signal, SignalBlock):
+        return _single(naive_peak(SignalBlock.of(signal)))
+    y = signal.samples
+    n_hat = y.argmax(axis=1).tolist()
+    x0, dx = signal.x0, signal.delta_x
+    heights = [float(row[i]) for row, i in zip(y, n_hat)]
     return [PeakEstimate(n_hat=i, mu_hat=x0 + i * dx, amplitude_hat=a) if a > 0
             else NoPeakError("all samples are non-positive", stage="naive_peak")
-            for i, a in zip(n_hat.tolist(), y[np.arange(len(y)), n_hat].tolist())]
+            for i, a in zip(n_hat, heights)]
 
 
-def naive_peak(signal: SampledSignal) -> PeakEstimate:
-    """Largest sample and its index; ties go to the smallest index."""
-    return _single(naive_peak_block(SignalBlock.of(signal)))
+def _check_amplitude(amplitude_hat: float) -> None:
+    if not (math.isfinite(amplitude_hat) and amplitude_hat > 0):
+        raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
 
 
-def sigma_area_m1_block(block: SignalBlock, amplitudes) -> list[float]:
-    """:func:`sigma_area_m1` of every row with that row's amplitude, which
-    must be finite and positive (as every peak of :func:`naive_peak_block`
-    is)."""
-    dx = block.delta_x
-    return [total * dx / (a * _SQRT_2PI)
-            for total, a in zip(block.samples.sum(axis=1).tolist(), amplitudes)]
-
-
-def sigma_area_m1(signal: SampledSignal, amplitude_hat: float) -> float:
+def sigma_area_m1(signal: SampledSignal | SignalBlock, amplitude_hat):
     """Width from the full sample sum treated as the Gaussian integral.
 
     Since the integral of the model is ``A * sqrt(2 pi) * sigma``, the
@@ -199,21 +197,36 @@ def sigma_area_m1(signal: SampledSignal, amplitude_hat: float) -> float:
     only when the sampled window covers essentially the whole bell; when a
     long tail is cut off, the sum misses area and the width is biased low
     no matter how fine the spacing is.
+
+    Given a :class:`SignalBlock` and one amplitude per row, a list with
+    every row's width.
     """
-    if not (math.isfinite(amplitude_hat) and amplitude_hat > 0):
-        raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
-    return sigma_area_m1_block(SignalBlock.of(signal), [amplitude_hat])[0]
+    if not isinstance(signal, SignalBlock):
+        return sigma_area_m1(SignalBlock.of(signal), [amplitude_hat])[0]
+    for a in amplitude_hat:
+        _check_amplitude(a)
+    dx = signal.delta_x
+    return [total * dx / (a * _SQRT_2PI)
+            for total, a in zip(signal.samples.sum(axis=1).tolist(), amplitude_hat)]
 
 
-def _window_peaks(block: SignalBlock, window_l: int):
-    """Window starts, centre locations and centre heights of every row.
+def windowed_peak(signal: SampledSignal | SignalBlock, window_l: int):
+    """Peak from a length-L moving average; robust to single-sample noise.
+
+    ``n_hat`` is the window start maximizing the average of samples
+    ``n .. n+L-1``; the location estimate sits at the window center
+    ``x0 + (n_hat + L // 2) * delta_x`` and the height estimate is the
+    sample there.  With ``L = 1`` this degenerates to :func:`naive_peak`.
 
     The moving average is built as a chain of scaled, shifted copies of
-    the rows, ``((y[n] w + y[n+1] w) + ...) + y[n+L-1] w``: elementwise
-    numpy arithmetic whose result does not depend on the row count or the
-    BLAS kernel of the machine.
+    the samples, ``((y[n] w + y[n+1] w) + ...) + y[n+L-1] w``: elementwise
+    arithmetic whose result does not depend on the row count or the BLAS
+    kernel of the machine.  Given a :class:`SignalBlock`, a list with
+    every row's peak.
     """
-    y = block.samples
+    if not isinstance(signal, SignalBlock):
+        return windowed_peak(SignalBlock.of(signal), window_l)[0]
+    y = signal.samples
     n = y.shape[1]
     if not 1 <= window_l <= n - 1:
         raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window_l}",
@@ -223,44 +236,30 @@ def _window_peaks(block: SignalBlock, window_l: int):
     averages = y[:, :m] * w
     for k in range(1, window_l):
         averages += y[:, k:k + m] * w
-    starts = np.argmax(averages, axis=1)
-    centers = starts + window_l // 2
-    return starts, block.x0 + centers * block.delta_x, y[np.arange(len(y)), centers]
+    starts = averages.argmax(axis=1).tolist()
+    x0, dx, half = signal.x0, signal.delta_x, window_l // 2
+    return [PeakEstimate(n_hat=s, mu_hat=x0 + (s + half) * dx,
+                         amplitude_hat=float(row[s + half]))
+            for s, row in zip(starts, y)]
 
 
-def windowed_peak(signal: SampledSignal, window_l: int) -> PeakEstimate:
-    """Peak from a length-L moving average; robust to single-sample noise.
-
-    ``n_hat`` is the window start maximizing the average of samples
-    ``n .. n+L-1``; the location estimate sits at the window center
-    ``x0 + (n_hat + L // 2) * delta_x`` and the height estimate is the
-    sample there.  With ``L = 1`` this degenerates to :func:`naive_peak`.
-    """
-    starts, mu_hat, heights = _window_peaks(SignalBlock.of(signal), window_l)
-    return PeakEstimate(n_hat=int(starts[0]), mu_hat=float(mu_hat[0]),
-                        amplitude_hat=float(heights[0]))
-
-
-def _nearest_index(block: SignalBlock, mu_hat: np.ndarray) -> np.ndarray:
-    """Grid index nearest to each location, clamped into the grid."""
-    index = np.rint((mu_hat - block.x0) / block.delta_x)
-    return np.minimum(np.maximum(index, 0.0), block.samples.shape[1] - 1).astype(np.intp)
-
-
-def _split_sums(y: np.ndarray, n_hat: int, delta_x: float) -> tuple[float, float]:
-    return delta_x * float(np.sum(y[:n_hat])), delta_x * float(np.sum(y[n_hat:]))
-
-
-def partial_areas(signal: SampledSignal, n_hat: int) -> PartialAreas:
+def partial_areas(signal: SampledSignal | SignalBlock, n_hat):
     """Split ``delta_x * sum(y)`` at the peak index.
 
     ``s_beta`` collects samples before ``n_hat``, ``s_alpha`` the rest;
-    together they partition the full sum.
+    together they partition the full sum.  Given a :class:`SignalBlock`
+    and one index per row, a list with every row's areas.
     """
-    y = signal.samples
-    if not 0 <= n_hat <= y.size - 1:
-        raise InvalidGridError(f"n_hat must be in [0, {y.size - 1}], got {n_hat}")
-    return PartialAreas(*_split_sums(y, n_hat, signal.delta_x))
+    if not isinstance(signal, SignalBlock):
+        return partial_areas(SignalBlock.of(signal), [n_hat])[0]
+    y, dx = signal.samples, signal.delta_x
+    n = y.shape[1]
+    areas = []
+    for row, i in zip(y, n_hat):
+        if not 0 <= i <= n - 1:
+            raise InvalidGridError(f"n_hat must be in [0, {n - 1}], got {i}")
+        areas.append(PartialAreas(dx * float(np.sum(row[:i])), dx * float(np.sum(row[i:]))))
+    return areas
 
 
 def _area_problem(area: float, half_width: float) -> str | None:
@@ -272,25 +271,7 @@ def _area_problem(area: float, half_width: float) -> str | None:
     return None
 
 
-def _lookup_k(areas: np.ndarray, half_widths: np.ndarray, amplitudes: np.ndarray,
-              table: ErfTable) -> tuple[np.ndarray, np.ndarray]:
-    """Widths and grid values ``k_star`` of a batch of one-sided areas, from
-    one ``(batch, k_count)`` objective; each row takes its first minimum."""
-    k = table.k
-    objective = (_SQRT_2PI * amplitudes * half_widths)[:, None] / (2.0 * k)
-    objective *= table.values  # the predicted areas
-    np.subtract(areas[:, None], objective, out=objective)
-    np.square(objective, out=objective)
-    k_star = k[np.argmin(objective, axis=1)]  # the first minimum: smaller k wins
-    return half_widths / k_star, k_star
-
-
-def sigma_from_area(
-    area: float,
-    half_width: float,
-    amplitude_hat: float,
-    table: ErfTable,
-) -> tuple[float, float]:
+def sigma_from_area(area, half_width, amplitude_hat, table: ErfTable):
     """Width estimate from a one-sided area via the lookup table.
 
     A half-Gaussian of width ``sigma`` truncated ``half_width`` from its
@@ -299,53 +280,67 @@ def sigma_from_area(
     mismatch against ``area`` gives ``sigma = half_width / k_star``.
 
     Returns ``(sigma, k_star)``.  Ties break toward smaller k; the full
-    grid is scanned, no interpolation.
+    grid is scanned, no interpolation.  Given 1-d arrays of areas, half
+    widths and amplitudes, returns arrays of both, from one
+    ``(len(area), k_count)`` objective in which each row takes its first
+    minimum.
     """
-    if not (math.isfinite(amplitude_hat) and amplitude_hat > 0):
-        raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
-    problem = _area_problem(area, half_width)
-    if problem is not None:
-        raise DegenerateAreaError(problem)
-    sigma, k_star = _lookup_k(np.array([area], dtype=np.float64),
-                              np.array([half_width], dtype=np.float64),
-                              np.array([amplitude_hat], dtype=np.float64), table)
-    return float(sigma[0]), float(k_star[0])
+    scalar = np.ndim(area) == 0
+    if not scalar:
+        area, half_width, amplitude_hat = (np.asarray(v, dtype=np.float64)
+                                           for v in (area, half_width, amplitude_hat))
+    for a, h, amp in ([(area, half_width, amplitude_hat)] if scalar
+                      else zip(area.tolist(), half_width.tolist(), amplitude_hat.tolist())):
+        _check_amplitude(amp)
+        problem = _area_problem(a, h)
+        if problem is not None:
+            raise DegenerateAreaError(problem)
+    k = table.k
+    objective = np.divide.outer(_SQRT_2PI * amplitude_hat * half_width, 2.0 * k)
+    objective *= table.values  # the predicted areas
+    np.subtract(np.expand_dims(area, -1), objective, out=objective)
+    np.square(objective, out=objective)
+    k_star = k[objective.argmin(axis=-1)]  # the first minimum: smaller k wins
+    sigma = half_width / k_star
+    return (float(sigma), float(k_star)) if scalar else (sigma, k_star)
 
 
-def _rho_rows(samples: np.ndarray, grid: np.ndarray, mu_hat: np.ndarray,
-              n_hat: np.ndarray) -> tuple[list, list]:
-    """``rho`` of every row (``None`` where the denominator is unusable) and
-    the denominators, as Python floats."""
-    contrib = samples * samples
-    lever = mu_hat[:, None] - grid
-    np.square(lever, out=lever)
-    np.square(lever, out=lever)  # (mu_hat - x)^4 as a squared square
-    contrib *= lever
-    del lever
-    denoms = contrib.sum(axis=1).tolist()
-    rhos = []
-    for row, start, denom in zip(contrib, n_hat.tolist(), denoms):
-        rho = None
-        if math.isfinite(denom) and denom > 0:
-            rho = min(max(float(np.sum(row[start:])) / denom, 0.0), 1.0)
-        rhos.append(rho)
-    return rhos, denoms
+def _nearest_index(signal: SignalBlock, mu_hat: np.ndarray) -> np.ndarray:
+    """Grid index nearest to each location, clamped into the grid."""
+    index = np.rint((mu_hat - signal.x0) / signal.delta_x)
+    return np.minimum(np.maximum(index, 0.0), signal.samples.shape[1] - 1).astype(np.intp)
 
 
-def rho_from_samples(signal: SampledSignal, mu_hat: float) -> float:
+def rho_from_samples(signal: SampledSignal | SignalBlock, mu_hat):
     """Combination weight for the two one-sided width estimates.
 
     Ratios the noisy fourth-moment sums ``y^2 (mu_hat - x)^4`` on the
     right side of the peak against the full range, clipped into [0, 1].
     The same ratio over the noiseless samples is the variance-optimal
     weight; see :func:`gaussfit.crlb.optimal_rho_oracle`.
+
+    Given a :class:`SignalBlock` and one location per row, a list with
+    every row's weight, or the :class:`DegenerateRhoError` of a row whose
+    denominator is unusable.  The lever ``(mu_hat - x)^4`` is a squared
+    square; the numerator is one sum per row, since its slice differs.
     """
-    block = SignalBlock.of(signal)
-    mu = np.array([mu_hat], dtype=np.float64)
-    rhos, denoms = _rho_rows(block.samples, block.grid, mu, _nearest_index(block, mu))
-    if rhos[0] is None:
-        raise DegenerateRhoError(f"weight denominator is {denoms[0]!r}")
-    return rhos[0]
+    if not isinstance(signal, SignalBlock):
+        return _single(rho_from_samples(SignalBlock.of(signal), [mu_hat]))
+    mu = np.asarray(mu_hat, dtype=np.float64)
+    contrib = signal.samples * signal.samples
+    lever = mu[:, None] - signal.grid
+    np.square(lever, out=lever)
+    np.square(lever, out=lever)
+    contrib *= lever
+    del lever
+    rhos = []
+    for row, start, denom in zip(contrib, _nearest_index(signal, mu).tolist(),
+                                 contrib.sum(axis=1).tolist()):
+        if math.isfinite(denom) and denom > 0:
+            rhos.append(min(max(float(np.sum(row[start:])) / denom, 0.0), 1.0))
+        else:
+            rhos.append(DegenerateRhoError(f"weight denominator is {denom!r}"))
+    return rhos
 
 
 def combine_sigma(sigma_alpha: float, sigma_beta: float, rho: float) -> float:
@@ -359,50 +354,44 @@ def combine_sigma(sigma_alpha: float, sigma_beta: float, rho: float) -> float:
     return rho * sigma_alpha + (1.0 - rho) * sigma_beta
 
 
-def _template_dots(samples: np.ndarray, grid: np.ndarray, mu_hat: np.ndarray,
-                   sigma_hat: np.ndarray) -> tuple[list, list]:
-    """``g . y`` and ``g . g`` of every row's unit-height template ``g``."""
-    z = grid - mu_hat[:, None]
-    z /= sigma_hat[:, None]
-    g = -0.5 * z
-    g *= z
-    del z
-    with np.errstate(under="ignore"):
-        np.exp(g, out=g)
-    return np.vecdot(g, samples).tolist(), np.vecdot(g, g).tolist()
-
-
-def _width_problem(sigma_hat: float) -> InvalidWidthError | None:
-    if not (math.isfinite(sigma_hat) and sigma_hat > 0):
-        return InvalidWidthError(f"sigma must be > 0, got {sigma_hat!r}")
-    return None
-
-
-def _template_amplitude(gy: float, gg: float) -> float:
-    if not math.isfinite(gg) or gg <= 0:
-        raise DegenerateAreaError("amplitude template vanishes on the grid")
-    return gy / gg
-
-
-def refine_amplitude(signal: SampledSignal, mu_hat: float, sigma_hat: float) -> float:
+def refine_amplitude(signal: SampledSignal | SignalBlock, mu_hat, sigma_hat):
     """Least-squares amplitude for a fixed unit-height template.
 
     With ``g[n] = exp(-(x[n] - mu_hat)^2 / (2 sigma_hat^2))`` the residual
     ``sum (a g - y)^2`` is minimized by ``a = (g . y) / (g . g)``, using
     every sample instead of the single one at the peak.
+
+    Given a :class:`SignalBlock` and one location and width per row, a
+    list with every row's amplitude, or the error of a row whose width or
+    template is unusable.  The templates are built as one block; the dot
+    products are one ``np.dot`` per row.
     """
-    problem = _width_problem(sigma_hat)
-    if problem is not None:
-        raise problem
-    gy, gg = _template_dots(signal.samples[None, :], signal.grid,
-                            np.array([mu_hat], dtype=np.float64),
-                            np.array([sigma_hat], dtype=np.float64))
-    return _template_amplitude(gy[0], gg[0])
-
-
-def _rows(y: np.ndarray, sel: np.ndarray) -> np.ndarray:
-    """Rows ``sel`` of ``y``, without a copy when that is every row."""
-    return y if sel.size == len(y) else y[sel]
+    if not isinstance(signal, SignalBlock):
+        return _single(refine_amplitude(SignalBlock.of(signal), [mu_hat], [sigma_hat]))
+    out: list = [None] * len(signal)
+    good = []
+    for i, sigma in enumerate(sigma_hat):
+        if math.isfinite(sigma) and sigma > 0:
+            good.append(i)
+        else:
+            out[i] = InvalidWidthError(f"sigma must be > 0, got {sigma!r}")
+    if not good:
+        return out
+    y = signal.samples if len(good) == len(signal) else signal.samples[good]
+    z = signal.grid - np.array([mu_hat[i] for i in good])[:, None]
+    z /= np.array([sigma_hat[i] for i in good])[:, None]
+    g = -0.5 * z
+    g *= z
+    del z
+    with np.errstate(under="ignore"):
+        np.exp(g, out=g)
+    for i, gi, yi in zip(good, g, y):
+        gg = float(np.dot(gi, gi))
+        if not math.isfinite(gg) or gg <= 0:
+            out[i] = DegenerateAreaError("amplitude template vanishes on the grid")
+        else:
+            out[i] = float(np.dot(gi, yi)) / gg
+    return out
 
 
 def m3_initial_fit(
@@ -417,10 +406,24 @@ def m3_initial_fit(
     ratio weight -> template-matched amplitude.  If one side has no
     usable area (peak at a grid edge, or noise summing below zero), the
     other side's estimate is used alone and the result is flagged
-    ``degenerate-fallback``.  A block of one of
-    :func:`m3_initial_fit_block`.
+    ``degenerate-fallback``.
+
+    One row of :func:`m3_initial_fit_block`: on a row of a
+    :class:`SignalBlock` the whole block is fitted the first time one of
+    its rows asks with this ``config`` and ``table``, and the other rows
+    read their outcome.
     """
-    return _single(m3_initial_fit_block(SignalBlock.of(signal), config, table))
+    block, i = SignalBlock.containing(signal)
+    outcomes = block.once(("m3", config, id(table)),
+                          lambda: m3_initial_fit_block(block, config, table))
+    return _single([outcomes[i]])
+
+
+def _sub_block(block: SignalBlock, rows: list[int]) -> SignalBlock:
+    """Rows ``rows`` of ``block``, without a copy when that is every row."""
+    if len(rows) == len(block):
+        return block
+    return SignalBlock(block.delta_x, block.samples[rows], block.x0)
 
 
 def m3_initial_fit_block(
@@ -440,34 +443,37 @@ def m3_initial_fit_block(
     """
     rows = len(block)
     try:
-        _, mu_hat, heights = _window_peaks(block, config.window_l)
+        peaks = windowed_peak(block, config.window_l)
     except InvalidWindowError as err:
         return [err] * rows
-    y, dx = block.samples, block.delta_x
-    n = y.shape[1]
-    grid = block.grid
-    n_hat = _nearest_index(block, mu_hat)
+    dx, n = block.delta_x, block.samples.shape[1]
+    mu_hat = [p.mu_hat for p in peaks]
+    n_hat = _nearest_index(block, np.array(mu_hat)).tolist()
     outcomes: list = [None] * rows
     diagnostics: list = [None] * rows
 
-    sides = []  # (row, side, area, half width, peak height) of every usable side
-    for i, (nh, height) in enumerate(zip(n_hat.tolist(), heights.tolist())):
-        if height <= 0:
+    live = []
+    for i, peak in enumerate(peaks):
+        if peak.amplitude_hat <= 0:
             outcomes[i] = NoPeakError("windowed peak height is non-positive",
                                       stage="windowed_peak")
-            continue
-        s_beta, s_alpha = _split_sums(y[i], nh, dx)
-        diagnostics[i] = {"n_hat": nh, "s_beta": s_beta, "s_alpha": s_alpha}
-        for side, area, half_width in (("beta", s_beta, nh * dx),
-                                       ("alpha", s_alpha, (n - nh) * dx)):
+        else:
+            live.append(i)
+    sides = []  # (row, side, area, half width, peak height) of every usable side
+    for i, areas in zip(live, partial_areas(_sub_block(block, live),
+                                            [n_hat[i] for i in live])):
+        nh, height = n_hat[i], peaks[i].amplitude_hat
+        diagnostics[i] = {"n_hat": nh, "s_beta": areas.s_beta, "s_alpha": areas.s_alpha}
+        for side, area, half_width in (("beta", areas.s_beta, nh * dx),
+                                       ("alpha", areas.s_alpha, (n - nh) * dx)):
             if _area_problem(area, half_width) is None:
                 sides.append((i, side, area, half_width, height))
 
     widths: dict = {}
     if sides:
         index, names, areas, half_widths, amplitudes = zip(*sides)
-        sigmas, k_stars = _lookup_k(np.array(areas), np.array(half_widths),
-                                    np.array(amplitudes), table)
+        sigmas, k_stars = sigma_from_area(np.array(areas), np.array(half_widths),
+                                          np.array(amplitudes), table)
         k_lo, k_hi = float(table.k[0]), float(table.k[-1])
         for i, side, sigma, k_star in zip(index, names, sigmas.tolist(), k_stars.tolist()):
             widths[i, side] = sigma
@@ -476,9 +482,7 @@ def m3_initial_fit_block(
 
     chosen: dict = {}  # row -> (rho, sigma_hat, status)
     two_sided = []
-    for i in range(rows):
-        if outcomes[i] is not None:
-            continue
+    for i in live:
         sigma_beta, sigma_alpha = widths.get((i, "beta")), widths.get((i, "alpha"))
         if sigma_beta is None and sigma_alpha is None:
             outcomes[i] = DegenerateAreaError(
@@ -492,12 +496,10 @@ def m3_initial_fit_block(
         else:
             two_sided.append(i)
     if two_sided:
-        sel = np.array(two_sided)
-        rhos, denoms = _rho_rows(_rows(y, sel), grid, mu_hat[sel], n_hat[sel])
-        for i, rho, denom in zip(two_sided, rhos, denoms):
-            if rho is None:
-                outcomes[i] = DegenerateRhoError(f"weight denominator is {denom!r}",
-                                                 stage="rho_from_samples")
+        rhos = rho_from_samples(_sub_block(block, two_sided), [mu_hat[i] for i in two_sided])
+        for i, rho in zip(two_sided, rhos):
+            if isinstance(rho, GaussFitError):
+                outcomes[i] = DegenerateRhoError(str(rho), stage="rho_from_samples")
                 continue
             try:
                 sigma_hat = combine_sigma(widths[i, "alpha"], widths[i, "beta"], rho)
@@ -506,26 +508,22 @@ def m3_initial_fit_block(
                 continue
             chosen[i] = (rho, sigma_hat, CONVERGED)
 
-    templated = []
-    for i in sorted(chosen):
-        rho, sigma_hat, _ = chosen[i]
-        diagnostics[i]["rho"] = rho
-        outcomes[i] = _width_problem(sigma_hat)
-        if outcomes[i] is None:
-            templated.append(i)
+    templated = sorted(chosen)
     if not templated:
         return outcomes
-    sel = np.array(templated)
-    sigma_hats = np.array([chosen[i][1] for i in templated])
-    gys, ggs = _template_dots(_rows(y, sel), grid, mu_hat[sel], sigma_hats)
-    for i, mu, gy, gg in zip(templated, mu_hat[sel].tolist(), gys, ggs):
-        _, sigma_hat, status = chosen[i]
+    amplitudes = refine_amplitude(_sub_block(block, templated),
+                                  [mu_hat[i] for i in templated],
+                                  [chosen[i][1] for i in templated])
+    for i, amplitude in zip(templated, amplitudes):
+        rho, sigma_hat, status = chosen[i]
+        diagnostics[i]["rho"] = rho
         try:
-            amplitude = _template_amplitude(gy, gg)
+            if isinstance(amplitude, GaussFitError):
+                raise amplitude
             if not (math.isfinite(amplitude) and amplitude > 0):
                 raise NoPeakError(f"refined amplitude is not positive: {amplitude!r}",
                                   stage="refine_amplitude")
-            params = GaussianParams(amplitude=amplitude, mu=mu, sigma=sigma_hat)
+            params = GaussianParams(amplitude=amplitude, mu=mu_hat[i], sigma=sigma_hat)
         except GaussFitError as err:
             outcomes[i] = err
             continue

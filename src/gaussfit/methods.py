@@ -11,18 +11,18 @@ M5     iterative reweighted LS seeded with the clamped samples
 =====  ==========================================================
 
 M2, M4 and M5 are one reweighting iteration started from three weight
-vectors; :func:`start_weights` builds the start from the stage-1 outcome,
-and :func:`run_method` and the iteration sweep of :mod:`gaussfit.bench`
-both hand it to :func:`gaussfit.linfit.wls_trace`.  The two-stage
+vectors; :func:`start_weights` builds the start from the stage-1 outcome
+of :func:`stage_one`, and :func:`run_method` and the iteration sweep of
+:mod:`gaussfit.bench` both hand it to :func:`gaussfit.linfit.wls_trace`.  The two-stage
 methods start from the Gaussian described by the stage-1 estimate, frozen
 (the iteration does not re-pick the peak), so with equal starting weights
 and iteration counts the three outputs are bit-identical.
 
-Stage 1 (M1, or the split-area fit of M3) runs on a block of signals:
-:func:`stage_one_block` gives every row's outcome, :func:`finish_method`
-completes one row's fit from it, and :func:`run_method` is the two on a
-block of one.  A benchmark chunk thus runs M1 and M3 once per row and
-hands the same outcomes to M2 and M4.
+Stage 1 (M1, or the split-area fit of M3) runs on blocks of signals: on a
+row of a :class:`gaussfit.signal.SignalBlock` it runs once for the whole
+block, the first time one of its rows asks, and the other rows and
+methods read the outcome.  A benchmark chunk thus runs M1 and M3 once
+per block and hands the same outcomes to M2 and M4.
 """
 
 from __future__ import annotations
@@ -41,9 +41,9 @@ from .initfit import (
     ErfTable,
     InitConfig,
     PeakEstimate,
-    m3_initial_fit_block,
-    naive_peak_block,
-    sigma_area_m1_block,
+    m3_initial_fit,
+    naive_peak,
+    sigma_area_m1,
 )
 from .linfit import wls_trace
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
@@ -59,10 +59,8 @@ from .signal import (
 __all__ = [
     "METHOD_IDS",
     "MethodSpec",
-    "finish_method",
-    "reweighted_start",
     "run_method",
-    "stage_one_block",
+    "stage_one",
     "start_weights",
 ]
 
@@ -90,10 +88,10 @@ class MethodSpec:
 
 def _m1_block(block: SignalBlock) -> list:
     """M1 on every row: its :class:`FitResult` or its typed error."""
-    peaks = naive_peak_block(block)
+    peaks = naive_peak(block)
     amplitudes = [p.amplitude_hat if isinstance(p, PeakEstimate) else 1.0 for p in peaks]
     outcomes: list = []
-    for peak, sigma in zip(peaks, sigma_area_m1_block(block, amplitudes)):
+    for peak, sigma in zip(peaks, sigma_area_m1(block, amplitudes)):
         outcome = peak
         if isinstance(peak, PeakEstimate):
             try:
@@ -106,18 +104,25 @@ def _m1_block(block: SignalBlock) -> list:
     return outcomes
 
 
-def stage_one_block(
-    spec: MethodSpec, block: SignalBlock, table: ErfTable
-) -> list | None:
-    """Stage-1 outcome of every row for ``spec``: the M1 fit (M1, M2) or
+def stage_one(spec: MethodSpec, signal: SampledSignal, table: ErfTable):
+    """Stage-1 outcome of ``signal`` for ``spec``: the M1 fit (M1, M2) or
     the split-area fit with ``spec.init`` (M3, M4), each a
     :class:`FitResult` or the :class:`GaussFitError` it raised; ``None``
-    for M5, which has no stage 1."""
+    for M5, which has no stage 1.
+
+    On a row of a :class:`SignalBlock` the stage runs once for the whole
+    block, and every later call for one of its rows with the same stage
+    (M1 and M2 share one, M3 and M4 one per ``init``) reads its outcome.
+    """
     mid = spec.method_id
     if mid in ("M1", "M2"):
-        return _m1_block(block)
+        block, i = SignalBlock.containing(signal)
+        return block.once(("m1",), lambda: _m1_block(block))[i]
     if mid in ("M3", "M4"):
-        return m3_initial_fit_block(block, spec.init, table)
+        try:
+            return m3_initial_fit(signal, spec.init, table)
+        except GaussFitError as err:
+            return err
     return None
 
 
@@ -149,23 +154,22 @@ def start_weights(
     return np.exp(log_transform(signal, floor)), status, diagnostics
 
 
-def reweighted_start(
+def run_method(
     spec: MethodSpec, signal: SampledSignal, table: ErfTable
-) -> tuple[np.ndarray, str, dict]:
-    """:func:`start_weights` with stage 1 run on ``signal`` alone."""
-    return start_weights(spec, signal, _stage_one(spec, signal, table))
+) -> FitResult:
+    """Run one pipeline on a signal.  Deterministic given its inputs.
 
-
-def _stage_one(spec: MethodSpec, signal: SampledSignal, table: ErfTable):
-    outcomes = stage_one_block(spec, SignalBlock.of(signal), table)
-    return None if outcomes is None else outcomes[0]
-
-
-def finish_method(spec: MethodSpec, signal: SampledSignal | None, stage1) -> FitResult:
-    """:func:`run_method` for a signal whose stage-1 outcome (one row of
-    :func:`stage_one_block`) is known; M1 and M3 need no ``signal``."""
+    Stage errors propagate as typed :class:`GaussFitError` subclasses with
+    stage labels, except that a failed stage 1 of M2/M4 falls back to the
+    M5 starting weights and flags the result ``degenerate-fallback``.  The
+    last iterate of M2/M4/M5 must describe a Gaussian; otherwise
+    :class:`InvalidWidthError` is raised with its iteration index.
+    """
     mid = spec.method_id
-    if mid in ("M1", "M3"):
+    if mid == "M3":
+        return m3_initial_fit(signal, spec.init, table)
+    stage1 = stage_one(spec, signal, table)
+    if mid == "M1":
         if isinstance(stage1, GaussFitError):
             raise stage1
         return stage1
@@ -183,17 +187,3 @@ def finish_method(spec: MethodSpec, signal: SampledSignal | None, stage1) -> Fit
         status=status,
         diagnostics=diagnostics,
     )
-
-
-def run_method(
-    spec: MethodSpec, signal: SampledSignal, table: ErfTable
-) -> FitResult:
-    """Run one pipeline on a signal.  Deterministic given its inputs.
-
-    Stage errors propagate as typed :class:`GaussFitError` subclasses with
-    stage labels, except that a failed stage 1 of M2/M4 falls back to the
-    M5 starting weights and flags the result ``degenerate-fallback``.  The
-    last iterate of M2/M4/M5 must describe a Gaussian; otherwise
-    :class:`InvalidWidthError` is raised with its iteration index.
-    """
-    return finish_method(spec, signal, _stage_one(spec, signal, table))

@@ -6,18 +6,18 @@ which is what the linear fitting routines estimate; the coefficient and
 parameter forms are interchangeable through :func:`coeffs_from_params`
 and :func:`params_from_coeffs`.
 
-Synthesis works on blocks: :func:`sample_gaussian_block` draws one noisy
-signal per row of a :class:`SignalBlock` (rows share one grid), evaluating
-the Gaussians and drawing the noise once for the whole block, and
-:func:`sample_gaussian` is a block of one.  Every row is bit-identical to
-the signal sampled alone.
+Synthesis works on blocks: given a sequence of Gaussians,
+:func:`sample_gaussian` draws one noisy signal per row of a
+:class:`SignalBlock` (rows share one grid), evaluating the Gaussians and
+drawing the noise once for the whole block; given one Gaussian it draws a
+block of one.  Every row is bit-identical to the signal sampled alone.
 """
 
 from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from itertools import repeat
 
 import numpy as np
@@ -41,7 +41,6 @@ __all__ = [
     "coeffs_from_params",
     "params_from_coeffs",
     "sample_gaussian",
-    "sample_gaussian_block",
     "log_transform",
     "default_clamp_floor",
     "read_signal_csv",
@@ -139,21 +138,34 @@ class SignalBlock:
     """Rows of samples on one shared grid ``x[n] = x0 + n * delta_x``.
 
     The unit of the batched estimators in :mod:`gaussfit.initfit`; their
-    scalar forms pass a single signal through :meth:`of`.  Rows are not
-    validated again: a block comes from checked signals or from
-    :func:`sample_gaussian_block`, which checks its rows.
+    scalar forms pass a single signal through :meth:`containing`.  Rows are
+    not validated again: a block comes from checked signals or from
+    :func:`sample_gaussian`, which checks its rows.
+
+    A block remembers the stage-1 outcomes of its rows (:meth:`once`), so
+    fitting its rows one at a time runs each stage 1 once for the whole
+    block; its samples must not change once a row has been fitted.
     """
 
     delta_x: float
     samples: np.ndarray  # (rows, n), C-contiguous
     x0: float = 0.0
     noise_powers: list | None = None  # one per row, for synthetic data
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, signal: SampledSignal) -> "SignalBlock":
         """A block of one row sharing ``signal``'s samples."""
         return cls(signal.delta_x, signal.samples[None, :], signal.x0,
                    [signal.noise_power])
+
+    @staticmethod
+    def containing(signal: SampledSignal) -> tuple["SignalBlock", int]:
+        """The block ``signal`` is a row of (see :meth:`row`) and its row
+        index, or a block of one holding ``signal``."""
+        if isinstance(signal, _BlockRow):
+            return signal.block, signal.index
+        return SignalBlock.of(signal), 0
 
     def __len__(self) -> int:
         return self.samples.shape[0]
@@ -164,9 +176,28 @@ class SignalBlock:
         return _grid(self.x0, self.delta_x, self.samples.shape[1])
 
     def row(self, i: int) -> SampledSignal:
-        """Row ``i`` as a signal (a view of the block's samples)."""
+        """Row ``i`` as a signal (a view of the block's samples) that knows
+        its block."""
         power = None if self.noise_powers is None else self.noise_powers[i]
-        return SampledSignal(self.delta_x, self.samples[i], self.x0, power)
+        return _BlockRow(self.delta_x, self.samples[i], self.x0, power, self, i)
+
+    def once(self, key, compute):
+        """``compute()`` on the first call with ``key``, the same object on
+        every later call."""
+        if key not in self._memo:
+            self._memo[key] = compute()
+        return self._memo[key]
+
+
+@dataclass
+class _BlockRow(SampledSignal):
+    """Row ``index`` of ``block``; checked with the block, not again."""
+
+    block: SignalBlock | None = field(default=None, repr=False, compare=False)
+    index: int = 0
+
+    def __post_init__(self):
+        pass
 
 
 @dataclass(frozen=True)
@@ -241,36 +272,28 @@ def params_from_coeffs(coeffs: LogPolyCoeffs) -> GaussianParams:
 
 
 def sample_gaussian(
-    params: GaussianParams,
+    params,
     delta_x: float,
     n_samples: int,
-    noise: NoiseSpec | None = None,
-) -> SampledSignal:
+    noise=None,
+):
     """Sample the Gaussian on ``x[n] = n * delta_x`` with optional noise.
 
     Noise variates are zero-mean normals of variance
     ``A^2 / 10^(snr_db/10)`` drawn from the seeded stream; the sequence is
     bit-identical across runs for equal ``(snr_db, seed, n_samples)``.
-    A block of one of :func:`sample_gaussian_block`.
+
+    ``params`` may also be a sequence of Gaussians, with ``noise`` then a
+    matching sequence of :class:`NoiseSpec` (or ``None``): the result is a
+    :class:`SignalBlock` with one row per Gaussian.  The Gaussians are
+    evaluated as one ``(rows, n_samples)`` block and the noise is drawn as
+    one block from the per-row seeds; the stream is counter based, so row
+    ``i`` equals ``sample_gaussian(params[i], delta_x, n_samples,
+    noise[i])`` bit for bit.
     """
-    noises = None if noise is None else [noise]
-    return sample_gaussian_block([params], delta_x, n_samples, noises).row(0)
-
-
-def sample_gaussian_block(
-    truths,
-    delta_x: float,
-    n_samples: int,
-    noises=None,
-) -> SignalBlock:
-    """One row per Gaussian of ``truths``, sampled on ``x[n] = n * delta_x``
-    with the noise of the matching entry of ``noises`` (if given).
-
-    The Gaussians are evaluated as one ``(rows, n_samples)`` block and the
-    noise is drawn as one block from the per-row seeds; the stream is
-    counter based, so row ``i`` equals ``sample_gaussian(truths[i],
-    delta_x, n_samples, noises[i])`` bit for bit.
-    """
+    single = isinstance(params, GaussianParams)
+    truths = [params] if single else params
+    noises = None if noise is None else [noise] if single else noise
     if not (math.isfinite(delta_x) and delta_x > 0):
         raise InvalidGridError(f"delta_x must be finite and > 0, got {delta_x!r}")
     if n_samples < 3:
@@ -279,11 +302,14 @@ def sample_gaussian_block(
     y = _gaussian(*columns, delta_x * np.arange(n_samples))
     noise_powers = None
     if noises is not None:
-        noise_powers = [noise.noise_power_for(p.amplitude)
-                        for p, noise in zip(truths, noises, strict=True)]
-        draws = rng.normals([noise.seed for noise in noises], n_samples)
+        noise_powers = [spec.noise_power_for(p.amplitude)
+                        for p, spec in zip(truths, noises, strict=True)]
+        draws = rng.normals([spec.seed for spec in noises], n_samples)
         draws *= np.array([math.sqrt(power) for power in noise_powers])[:, None]
         y += draws
+    if single:  # checked by the signal itself
+        power = None if noise_powers is None else noise_powers[0]
+        return SampledSignal(delta_x=delta_x, samples=y[0], x0=0.0, noise_power=power)
     if not np.isfinite(y).all():
         raise InvalidGridError("samples must all be finite")
     return SignalBlock(delta_x=delta_x, samples=y, x0=0.0, noise_powers=noise_powers)

@@ -1,4 +1,4 @@
-"""The block kernels of synthesis, M1 and M3 against the scalar code they
+"""The block forms of synthesis, M1 and M3 against the scalar code they
 replaced, kept here as plain oracles.
 
 Every row of a block must equal the oracle run on that row alone, and the
@@ -32,16 +32,23 @@ from gaussfit import (
     SignalBlock,
     bench,
     build_erf_table,
-    finish_method,
+    initfit,
     m3_initial_fit,
     m3_initial_fit_block,
+    methods,
+    naive_peak,
+    partial_areas,
+    refine_amplitude,
+    rho_from_samples,
     rng,
     run_bench_iters,
     run_bench_snr,
     run_method,
     sample_gaussian,
-    sample_gaussian_block,
-    stage_one_block,
+    sigma_area_m1,
+    sigma_from_area,
+    stage_one,
+    windowed_peak,
 )
 from gaussfit.results import CONVERGED, DEGENERATE_FALLBACK, FitResult
 
@@ -195,6 +202,16 @@ def _kind(outcome):
     return outcome.status
 
 
+def _alone(sig):
+    """``sig`` as a signal of its own, not a row of a block."""
+    return SampledSignal(sig.delta_x, sig.samples.copy(), sig.x0, sig.noise_power)
+
+
+def _rows(block, spec, table):
+    """Stage 1 of ``spec`` on every row of ``block``, one row at a time."""
+    return [stage_one(spec, block.row(i), table) for i in range(len(block))]
+
+
 def _blocks(config, snr_db, chunk, monkeypatch):
     monkeypatch.setattr(bench, "_CHUNK", chunk)
     return list(bench._trial_blocks(config, 0, snr_db))
@@ -237,13 +254,14 @@ def test_trial_blocks_equal_scalar_synthesis(chunk, snr_db, monkeypatch):
 def test_sample_gaussian_is_a_block_of_one():
     truths = [GaussianParams(1.0, 8.3, 1.1), GaussianParams(2.5, 3.0, 0.4)]
     noises = [NoiseSpec(12.0, 3), NoiseSpec(-5.0, 4)]
-    block = sample_gaussian_block(truths, 0.01, 1001, noises)
+    block = sample_gaussian(truths, 0.01, 1001, noises)
+    assert isinstance(block, SignalBlock)
     for i, (truth, noise) in enumerate(zip(truths, noises)):
         alone = sample_gaussian(truth, 0.01, 1001, noise)
         assert block.row(i).samples.tobytes() == alone.samples.tobytes()
         assert alone.samples.tobytes() == _oracle_sample(
             truth, 0.01, 1001, noise).samples.tobytes()
-    clean = sample_gaussian_block(truths, 0.01, 1001)
+    clean = sample_gaussian(truths, 0.01, 1001)
     assert clean.noise_powers is None
     assert clean.row(1).samples.tobytes() == sample_gaussian(
         truths[1], 0.01, 1001).samples.tobytes()
@@ -253,7 +271,7 @@ def test_sample_gaussian_is_a_block_of_one():
 
 
 @pytest.mark.parametrize("snr_db", [-10.0, -3.0])
-@pytest.mark.parametrize("window_l", [1, 2, 3, 5])
+@pytest.mark.parametrize("window_l", [1, 2, 3, 5, 8, 11])
 def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
                                              monkeypatch):
     config = BenchConfig(trials=13, master_seed=3)
@@ -261,18 +279,82 @@ def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
     m3 = MethodSpec("M3", init=InitConfig(window_l=window_l))
     for chunk in (1, 3, 8):
         for block, _, _ in _blocks(config, snr_db, chunk, monkeypatch):
-            got_m1 = stage_one_block(m1, block, erf_table)
+            got_m1 = _rows(block, m1, erf_table)
             got_m3 = m3_initial_fit_block(block, m3.init, erf_table)
-            got_m4 = stage_one_block(MethodSpec("M4", init=m3.init), block, erf_table)
+            got_m4 = _rows(block, MethodSpec("M4", init=m3.init), erf_table)
             assert [_key(g) for g in got_m4] == [_key(g) for g in got_m3]
             for i in range(len(block)):
                 sig = block.row(i)
                 assert _key(got_m1[i]) == _key(_outcome(_oracle_m1, sig))
                 assert _key(got_m3[i]) == _key(_outcome(_oracle_m3, sig, m3.init,
                                                         erf_table))
-                assert _key(got_m1[i]) == _key(_outcome(run_method, m1, sig, erf_table))
-                assert _key(got_m3[i]) == _key(_outcome(m3_initial_fit, sig, m3.init,
+                alone = _alone(sig)
+                assert _key(got_m1[i]) == _key(_outcome(run_method, m1, alone, erf_table))
+                assert _key(got_m3[i]) == _key(_outcome(m3_initial_fit, alone, m3.init,
                                                         erf_table))
+
+
+def test_rows_share_their_block_stage_one(erf_table):
+    """Rows of a block read one stage-1 run: M2 the outcome of M1, M4 that
+    of M3 with an equal ``init``; another ``init`` runs its own."""
+    block = sample_gaussian([GaussianParams(1.0, 8.0 + 0.1 * j, 1.2) for j in range(5)],
+                            0.01, 1001, [NoiseSpec(6.0, j) for j in range(5)])
+    row = block.row(3)
+    assert stage_one(MethodSpec("M2"), row, erf_table) is stage_one(
+        MethodSpec("M1"), block.row(3), erf_table)
+    m3 = stage_one(MethodSpec("M3"), row, erf_table)
+    assert stage_one(MethodSpec("M4"), block.row(3), erf_table) is m3
+    assert m3_initial_fit(row, InitConfig(), erf_table) is m3
+    other = stage_one(MethodSpec("M4", init=InitConfig(window_l=5)), row, erf_table)
+    assert other is not m3
+    assert _key(other) == _key(m3_initial_fit(_alone(row), InitConfig(window_l=5),
+                                              erf_table))
+    assert stage_one(MethodSpec("M5"), row, erf_table) is None
+
+
+def test_stage_functions_take_a_block(erf_table, monkeypatch):
+    """Each stage given a block returns every row's result, equal to the
+    row given alone; a row's error takes its place in the list."""
+    config = BenchConfig(trials=8, master_seed=3)
+    (block, _, _), = _blocks(config, -3.0, 8, monkeypatch)
+    samples = block.samples.copy()
+    samples[2] = 0.0  # no positive sample and no weight: no peak, no rho
+    block = SignalBlock(delta_x=block.delta_x, samples=samples, x0=1.5)
+    alone = [_alone(block.row(i)) for i in range(len(block))]
+    assert [_key(p) if isinstance(p, GaussFitError) else p for p in naive_peak(block)] == [
+        _key(_outcome(naive_peak, sig)) if i == 2 else naive_peak(sig)
+        for i, sig in enumerate(alone)]
+    amplitudes = [0.5 + 0.1 * i for i in range(len(block))]
+    assert sigma_area_m1(block, amplitudes) == [
+        sigma_area_m1(sig, a) for sig, a in zip(alone, amplitudes)]
+    for window_l in (1, 4, 11):
+        assert windowed_peak(block, window_l) == [windowed_peak(sig, window_l)
+                                                  for sig in alone]
+    n_hats = [0, 10, 500, 999, 1000, 7, 3, 640]
+    assert partial_areas(block, n_hats) == [partial_areas(sig, n)
+                                            for sig, n in zip(alone, n_hats)]
+    areas, half_widths = np.array([0.5, 1.0, 2.5]), np.array([1.0, 3.0, 9.0])
+    heights = np.array([1.0, 0.7, 1.3])
+    sigmas, k_stars = sigma_from_area(areas, half_widths, heights, erf_table)
+    assert list(zip(sigmas.tolist(), k_stars.tolist())) == [
+        sigma_from_area(a, h, amp, erf_table)
+        for a, h, amp in zip(areas.tolist(), half_widths.tolist(), heights.tolist())]
+    with pytest.raises(DegenerateAreaError):
+        sigma_from_area(np.array([1.0, -1.0]), np.array([1.0, 1.0]),
+                        np.array([1.0, 1.0]), erf_table)
+    mus = [8.0 + 0.1 * i for i in range(len(block))]
+    rhos = rho_from_samples(block, mus)
+    assert [_key(r) if isinstance(r, GaussFitError) else r for r in rhos] == [
+        _key(_outcome(rho_from_samples, sig, mu)) if i == 2 else rho_from_samples(sig, mu)
+        for i, (sig, mu) in enumerate(zip(alone, mus))]
+    widths = [1.0 + 0.05 * i for i in range(len(block))]
+    widths[5] = float("nan")
+    got = refine_amplitude(block, mus, widths)
+    assert [_key(g) if isinstance(g, GaussFitError) else g for g in got] == [
+        _key(g) if isinstance(g, GaussFitError) else g
+        for g in (_outcome(refine_amplitude, sig, mu, w)
+                  for sig, mu, w in zip(alone, mus, widths))]
+    assert type(got[5]) is InvalidWidthError
 
 
 def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
@@ -319,7 +401,7 @@ def test_m1_error_rows(erf_table):
                         [0.5, -2.0, -1.0, 0.1],
                         [0.2, 1.0, 0.4, 0.1]])
     block = SignalBlock(delta_x=0.5, samples=samples, x0=-1.0)
-    got = stage_one_block(MethodSpec("M1"), block, erf_table)
+    got = _rows(block, MethodSpec("M1"), erf_table)
     assert [_kind(g) for g in got] == ["NoPeakError", "InvalidParamsError", CONVERGED]
     for i, g in enumerate(got):
         assert _key(g) == _key(_outcome(_oracle_m1, block.row(i)))
@@ -346,33 +428,38 @@ def test_reports_do_not_depend_on_chunk_size(mode, erf_table, monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
-def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(erf_table,
+@pytest.mark.parametrize("timing", [False, True])
+def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_table,
                                                                      monkeypatch):
     """M2 and M4 reuse the chunk's M1 and M3 outcomes, and with timing each
     method is charged its own time plus its per-row share of the batched
-    stage it uses.  A fake clock advances only inside the two hooks."""
+    stage it uses.  A fake clock advances only inside the hooks."""
     clock = [0.0]
     monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
-    stage_cost = {"M1": 1.0, "M3": 10.0, "M5": 0.0}
     calls = []
 
-    def stage_one(spec, block, table):
-        calls.append(spec.method_id)
-        clock[0] += stage_cost[spec.method_id] * len(block)
-        return stage_one_block(spec, block, table)
+    def counted(name, fn, cost):
+        def hook(block, *args):
+            calls.append(name)
+            clock[0] += cost * len(block)
+            return fn(block, *args)
+        return hook
 
-    def finish(spec, signal, outcome):
+    def run(spec, signal, table):
         clock[0] += 100.0 if spec.method_id in ("M2", "M4", "M5") else 0.0
-        return finish_method(spec, signal, outcome)
+        return run_method(spec, signal, table)
 
-    monkeypatch.setattr(bench, "stage_one_block", stage_one)
-    monkeypatch.setattr(bench, "finish_method", finish)
+    monkeypatch.setattr(methods, "_m1_block", counted("M1", methods._m1_block, 1.0))
+    monkeypatch.setattr(initfit, "m3_initial_fit_block",
+                        counted("M3", initfit.m3_initial_fit_block, 10.0))
+    monkeypatch.setattr(bench, "run_method", run)
     config = BenchConfig(trials=13, master_seed=7, snr_start_db=12.0, snr_stop_db=12.0,
-                         m5_iters=2, timing=True)
+                         m5_iters=2, timing=timing)
     report = run_bench_snr(config, erf_table)
-    assert calls == ["M1", "M3", "M5"] * 2  # chunks of 8 and 5 trials
-    times = {m: report.mean_time_us(m, 12.0) for m in ("M1", "M2", "M3", "M4", "M5")}
-    assert times == {"M1": 1e6, "M2": 101e6, "M3": 10e6, "M4": 110e6, "M5": 100e6}
+    assert calls == ["M1", "M3"] * 2  # chunks of 8 and 5 trials
+    if timing:
+        times = {m: report.mean_time_us(m, 12.0) for m in ("M1", "M2", "M3", "M4", "M5")}
+        assert times == {"M1": 1e6, "M2": 101e6, "M3": 10e6, "M4": 110e6, "M5": 100e6}
 
 
 # ------------------------------------------------------------- property
@@ -394,7 +481,7 @@ def _blocks_of_signals(draw):
         clean = amplitude * np.exp(-0.5 * ((np.arange(n) - center) / width) ** 2)
         snr_db = draw(st.floats(-10.0, 40.0))
         samples[r] = clean + abs(amplitude) * 10.0 ** (-snr_db / 20.0) * gen.standard_normal(n)
-    window_l = draw(st.integers(1, min(5, n - 1)))
+    window_l = draw(st.integers(1, min(11, n - 1)))
     return SignalBlock(delta_x=dx, samples=samples, x0=x0), window_l
 
 
@@ -404,11 +491,10 @@ def test_block_rows_equal_blocks_of_one(case):
     block, window_l = case
     table = _TABLE
     init = InitConfig(window_l=window_l)
-    m1 = stage_one_block(MethodSpec("M1"), block, table)
+    m1 = _rows(block, MethodSpec("M1"), table)
     m3 = m3_initial_fit_block(block, init, table)
     for i in range(len(block)):
-        one = SignalBlock.of(block.row(i))
-        assert _key(m1[i]) == _key(stage_one_block(MethodSpec("M1"), one, table)[0])
-        assert _key(m3[i]) == _key(m3_initial_fit_block(one, init, table)[0])
-        assert _key(m3[i]) == _key(_outcome(_oracle_m3, block.row(i), init, table))
-
+        alone = _alone(block.row(i))
+        assert _key(m1[i]) == _key(stage_one(MethodSpec("M1"), alone, table))
+        assert _key(m3[i]) == _key(_outcome(m3_initial_fit, alone, init, table))
+        assert _key(m3[i]) == _key(_outcome(_oracle_m3, alone, init, table))

@@ -13,9 +13,10 @@ from gaussfit import (
     SampledSignal,
     UnknownMethodError,
     eval_gaussian,
-    reweighted_start,
     run_method,
     sample_gaussian,
+    stage_one,
+    start_weights,
     wls_trace,
 )
 from gaussfit.methods import MethodSpec
@@ -92,7 +93,8 @@ def test_two_stage_init_amplitude_scale_invariant():
 
 def test_two_stage_zero_iterations_rejected(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
-    w0, _, _ = reweighted_start(MethodSpec("M2"), sig, erf_table)
+    spec = MethodSpec("M2")
+    w0, _, _ = start_weights(spec, sig, stage_one(spec, sig, erf_table))
     with pytest.raises(GaussFitError):
         wls_trace(sig, w0, 0)
 
@@ -138,7 +140,8 @@ def test_stage1_failure_falls_back_to_sample_weights(erf_table):
     direct = wls_trace(sig, w0, 2)[-1]
     assert m2.params == direct.params
 
-    start, status, diagnostics = reweighted_start(MethodSpec("M2"), sig, erf_table)
+    spec = MethodSpec("M2")
+    start, status, diagnostics = start_weights(spec, sig, stage_one(spec, sig, erf_table))
     assert status == DEGENERATE_FALLBACK
     assert diagnostics == m2.diagnostics
     assert np.array_equal(start, w0)
