@@ -298,17 +298,17 @@ def sigma_from_area(area, half_width, amplitude_hat, table: ErfTable):
     k = table.k
     objective = np.divide.outer(_SQRT_2PI * amplitude_hat * half_width, 2.0 * k)
     objective *= table.values  # the predicted areas
-    np.subtract(np.expand_dims(area, -1), objective, out=objective)
+    np.subtract(area if scalar else area[:, None], objective, out=objective)
     np.square(objective, out=objective)
     k_star = k[objective.argmin(axis=-1)]  # the first minimum: smaller k wins
     sigma = half_width / k_star
     return (float(sigma), float(k_star)) if scalar else (sigma, k_star)
 
 
-def _nearest_index(signal: SignalBlock, mu_hat: np.ndarray) -> np.ndarray:
-    """Grid index nearest to each location, clamped into the grid."""
-    index = np.rint((mu_hat - signal.x0) / signal.delta_x)
-    return np.minimum(np.maximum(index, 0.0), signal.samples.shape[1] - 1).astype(np.intp)
+def _nearest_index(signal: SignalBlock, mu_hat: float) -> int:
+    """Grid index nearest to a location (ties to even), clamped into the grid."""
+    index = round((mu_hat - signal.x0) / signal.delta_x)
+    return min(max(index, 0), signal.samples.shape[1] - 1)
 
 
 def rho_from_samples(signal: SampledSignal | SignalBlock, mu_hat):
@@ -334,7 +334,7 @@ def rho_from_samples(signal: SampledSignal | SignalBlock, mu_hat):
     contrib *= lever
     del lever
     rhos = []
-    for row, start, denom in zip(contrib, _nearest_index(signal, mu).tolist(),
+    for row, start, denom in zip(contrib, [_nearest_index(signal, m) for m in mu.tolist()],
                                  contrib.sum(axis=1).tolist()):
         if math.isfinite(denom) and denom > 0:
             rhos.append(min(max(float(np.sum(row[start:])) / denom, 0.0), 1.0))
@@ -352,6 +352,13 @@ def combine_sigma(sigma_alpha: float, sigma_beta: float, rho: float) -> float:
     if not 0.0 <= rho <= 1.0:
         raise DegenerateRhoError(f"rho must be in [0, 1], got {rho!r}")
     return rho * sigma_alpha + (1.0 - rho) * sigma_beta
+
+
+def _sub_block(block: SignalBlock, rows: list[int]) -> SignalBlock:
+    """Rows ``rows`` of ``block``, without a copy when that is every row."""
+    if len(rows) == len(block):
+        return block
+    return SignalBlock(block.delta_x, block.samples[rows], block.x0)
 
 
 def refine_amplitude(signal: SampledSignal | SignalBlock, mu_hat, sigma_hat):
@@ -377,15 +384,17 @@ def refine_amplitude(signal: SampledSignal | SignalBlock, mu_hat, sigma_hat):
             out[i] = InvalidWidthError(f"sigma must be > 0, got {sigma!r}")
     if not good:
         return out
-    y = signal.samples if len(good) == len(signal) else signal.samples[good]
-    z = signal.grid - np.array([mu_hat[i] for i in good])[:, None]
-    z /= np.array([sigma_hat[i] for i in good])[:, None]
+    if len(good) < len(signal):
+        signal = _sub_block(signal, good)
+        mu_hat, sigma_hat = [mu_hat[i] for i in good], [sigma_hat[i] for i in good]
+    z = signal.grid - np.array(mu_hat, dtype=np.float64)[:, None]
+    z /= np.array(sigma_hat, dtype=np.float64)[:, None]
     g = -0.5 * z
     g *= z
     del z
     with np.errstate(under="ignore"):
         np.exp(g, out=g)
-    for i, gi, yi in zip(good, g, y):
+    for i, gi, yi in zip(good, g, signal.samples):
         gg = float(np.dot(gi, gi))
         if not math.isfinite(gg) or gg <= 0:
             out[i] = DegenerateAreaError("amplitude template vanishes on the grid")
@@ -419,13 +428,6 @@ def m3_initial_fit(
     return _single([outcomes[i]])
 
 
-def _sub_block(block: SignalBlock, rows: list[int]) -> SignalBlock:
-    """Rows ``rows`` of ``block``, without a copy when that is every row."""
-    if len(rows) == len(block):
-        return block
-    return SignalBlock(block.delta_x, block.samples[rows], block.x0)
-
-
 def m3_initial_fit_block(
     block: SignalBlock,
     config: InitConfig,
@@ -448,7 +450,7 @@ def m3_initial_fit_block(
         return [err] * rows
     dx, n = block.delta_x, block.samples.shape[1]
     mu_hat = [p.mu_hat for p in peaks]
-    n_hat = _nearest_index(block, np.array(mu_hat)).tolist()
+    n_hat = [_nearest_index(block, mu) for mu in mu_hat]
     outcomes: list = [None] * rows
     diagnostics: list = [None] * rows
 
