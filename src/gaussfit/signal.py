@@ -144,7 +144,9 @@ class SignalBlock:
 
     A block remembers the stage-1 outcomes of its rows (:meth:`once`), so
     fitting its rows one at a time runs each stage 1 once for the whole
-    block; its samples must not change once a row has been fitted.
+    block.  Its samples must not change once a row has been fitted, and a
+    remembered outcome is handed to every caller, so callers do not
+    modify it.
     """
 
     delta_x: float
