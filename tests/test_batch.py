@@ -467,7 +467,7 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
 
 @st.composite
 def _blocks_of_signals(draw):
-    n = draw(st.integers(3, 60))
+    n = draw(st.integers(3, 1200))
     rows = draw(st.integers(1, 6))
     x0 = draw(st.floats(-1e3, 1e3))
     dx = draw(st.floats(1e-3, 10.0))
