@@ -123,6 +123,8 @@ class BenchConfig:
         if self.iter_sweep is not None:
             if not self.iter_sweep or any(k < 1 for k in self.iter_sweep):
                 raise GaussFitError("iteration sweep entries must be >= 1")
+            if len(set(self.iter_sweep)) != len(self.iter_sweep):
+                raise GaussFitError(f"iteration sweep repeats an entry: {self.iter_sweep}")
         if self.workers < 1:
             raise GaussFitError(f"workers must be >= 1, got {self.workers}")
 

@@ -49,6 +49,15 @@ def _parse_range(text: str, what: str) -> tuple[float, float, float]:
     return start, step, stop
 
 
+def _parse_iter_sweep(text: str) -> range:
+    """Parse ``start:step:stop`` of whole iteration counts."""
+    bounds = _parse_range(text, "--iter-sweep")
+    if not all(v.is_integer() for v in bounds):
+        raise argparse.ArgumentTypeError(f"--iter-sweep must be whole numbers: {text!r}")
+    start, step, stop = (int(v) for v in bounds)
+    return range(start, stop + 1, step)
+
+
 def _parse_methods(text: str) -> tuple[str, ...]:
     methods = tuple(m.strip() for m in text.split(",") if m.strip())
     for m in methods:
@@ -118,8 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
                                  help="MSE versus iteration count at fixed SNR")
     iters.add_argument("--snr-db", type=float, default=12.0,
                        help="fixed SNR in dB (default 12)")
-    iters.add_argument("--iter-sweep", type=lambda s: _parse_range(s, "--iter-sweep"),
-                       default=(1.0, 1.0, 12.0), metavar="START:STEP:STOP",
+    iters.add_argument("--iter-sweep", type=_parse_iter_sweep,
+                       default=range(1, 13), metavar="START:STEP:STOP",
                        help="iteration sweep (default 1:1:12)")
 
     erf = sub.add_parser("erftable", help="build the error-function lookup table")
@@ -207,10 +216,7 @@ def _bench_config(args, mode: str) -> BenchConfig:
         start, step, stop = args.snr
         kwargs.update(snr_start_db=start, snr_step_db=step, snr_stop_db=stop)
     else:
-        start, step, stop = args.iter_sweep
-        count = int((stop - start) / step + 1e-9) + 1
-        sweep = tuple(int(round(start + j * step)) for j in range(count))
-        kwargs.update(iter_sweep=sweep, fixed_snr_db=args.snr_db)
+        kwargs.update(iter_sweep=tuple(args.iter_sweep), fixed_snr_db=args.snr_db)
     return BenchConfig(**kwargs)
 
 

@@ -423,8 +423,10 @@ def m3_initial_fit(
     read their outcome.
     """
     block, i = SignalBlock.containing(signal)
-    outcomes = block.once(("m3", config, id(table)),
-                          lambda: m3_initial_fit_block(block, config, table))
+    # the entry holds the table, so its id cannot pass to a new table
+    # while the entry lives
+    _, outcomes = block.once(("m3", config, id(table)),
+                             lambda: (table, m3_initial_fit_block(block, config, table)))
     return _single([outcomes[i]])
 
 

@@ -24,6 +24,15 @@ unrolled elimination with partial pivoting.  These are the operations of
 the plain formulation (separate sums and dot products, a loop over
 lists for the elimination) in the same order, so the results are
 bit-identical to it; ``tests/test_linfit.py`` keeps it as the oracle.
+
+Most of a step's time is the fixed cost of its numpy calls, not their
+per-element work: a 12-step trace takes a median 26 us per step on 5
+samples and 39 us on 1001 (2-vCPU shared VM, Python 3.11.7, numpy
+2.4.6).  So a step allocates nothing.  The rebuilt weights and their
+exponent go into two buffers made once per trace, ufunc outputs are
+passed positionally, reductions call ``np.add.reduce`` and
+``np.maximum.reduce`` directly, and the non-finite scrub of rebuilt
+weights runs only when their maximum is not finite.
 """
 
 from __future__ import annotations
@@ -103,36 +112,41 @@ def _solve_normal(s0: float, s1: float, s2: float, s3: float, s4: float,
     return c0, c1, c2
 
 
-def _validated_weights(weights, n: int) -> np.ndarray:
+def _validated_weights(weights, n: int) -> tuple[np.ndarray, float]:
+    """The weights as a float64 array, and their maximum."""
     w = np.asarray(weights, dtype=np.float64)
     if w.shape != (n,):
         raise ShapeError(f"weights shape {w.shape} does not match {n} samples")
-    if not np.all(np.isfinite(w)):
+    # a NaN anywhere makes both extremes NaN
+    lo, hi = float(np.minimum.reduce(w)), float(np.maximum.reduce(w))
+    if not (math.isfinite(lo) and math.isfinite(hi)):
         raise GaussFitError("weights must be finite")
-    if np.any(w < 0):
+    if lo < 0:
         raise GaussFitError("weights must be non-negative")
-    return w
+    return w, hi
 
 
-def _normal_solve(w: np.ndarray, logs: np.ndarray, t: np.ndarray, mid,
-                  moments: tuple) -> LogPolyCoeffs:
+def _normal_solve(w: np.ndarray, w_max: float, logs: np.ndarray, t: np.ndarray,
+                  mid, moments: tuple) -> LogPolyCoeffs:
     """One weighted solve on the centered grid ``t = x - mid``.
 
+    ``w`` must be finite and non-negative, with maximum ``w_max``.
     ``moments`` is a ``(5, n)`` scratch buffer followed by its five rows.
     The rows receive ``u * t**k`` for ``k = 0..4`` with
-    ``u = (w / max(w))**2``, built as a product chain, and one row
-    reduction gives the five distinct normal-matrix entries.
+    ``u = (w / w_max)**2``, built as a product chain, and one row
+    reduction gives the five distinct normal-matrix entries.  Outputs are
+    passed positionally: numpy parses an ``out=`` keyword more slowly.
     """
-    if np.count_nonzero(w > 0) < 3:
+    if np.count_nonzero(w) < 3:
         raise SingularSystemError("fewer than 3 samples carry positive weight")
     rows, u, ut, ut2, ut3, ut4 = moments
-    np.divide(w, float(w.max()), out=u)  # uniform scaling cancels in the solve
-    np.multiply(u, u, out=u)
-    np.multiply(u, t, out=ut)
-    np.multiply(ut, t, out=ut2)
-    np.multiply(ut2, t, out=ut3)
-    np.multiply(ut3, t, out=ut4)
-    s0, s1, s2, s3, s4 = rows.sum(axis=1).tolist()
+    np.divide(w, w_max, u)  # uniform scaling cancels in the solve
+    np.multiply(u, u, u)
+    np.multiply(u, t, ut)
+    np.multiply(ut, t, ut2)
+    np.multiply(ut2, t, ut3)
+    np.multiply(ut3, t, ut4)
+    s0, s1, s2, s3, s4 = np.add.reduce(rows, 1).tolist()
     ac, bc, cc = _solve_normal(s0, s1, s2, s3, s4, float(np.dot(u, logs)),
                                float(np.dot(ut, logs)), float(np.dot(ut2, logs)))
     # undo the centering: a + b(x - m) + c(x - m)^2 back to powers of x
@@ -144,20 +158,31 @@ def _normal_solve(w: np.ndarray, logs: np.ndarray, t: np.ndarray, mid,
 
 
 def _prepared(signal: SampledSignal, weights, clamp_floor: float | None):
-    """Validated weights, clamped log samples, the grid, its midpoint, the
-    centered grid and the moment buffer with its rows: everything one
-    trace reuses."""
-    w = _validated_weights(weights, len(signal))
+    """Validated weights and their maximum, clamped log samples, the grid,
+    its midpoint, the centered grid and the moment buffer with its rows:
+    everything one trace reuses."""
+    w, w_max = _validated_weights(weights, len(signal))
     logs = log_transform(signal, resolve_clamp_floor(signal, clamp_floor))
     x = signal.grid
     mid = 0.5 * (x[0] + x[-1])
     rows = np.empty((5, x.size))
-    return w, logs, x, mid, x - mid, (rows, *rows)
+    return w, w_max, logs, x, mid, x - mid, (rows, *rows)
 
 
-def _gaussian_values(coeffs: LogPolyCoeffs, x: np.ndarray) -> np.ndarray:
-    """``exp(a + b x + c x^2)``; the caller decides how overflow is treated."""
-    return np.exp(coeffs.a + coeffs.b * x + coeffs.c * x * x)
+def _gaussian_values(coeffs: LogPolyCoeffs, x: np.ndarray, expo: np.ndarray,
+                     out: np.ndarray) -> np.ndarray:
+    """``exp(a + b x + c x^2)`` into ``out``, with ``expo`` for the exponent.
+
+    The operations and their order are those of
+    ``np.exp(a + b * x + c * x * x)``.  The caller decides how overflow is
+    treated.
+    """
+    np.multiply(coeffs.b, x, expo)
+    np.add(coeffs.a, expo, expo)
+    np.multiply(coeffs.c, x, out)
+    np.multiply(out, x, out)
+    np.add(expo, out, expo)
+    return np.exp(expo, out)
 
 
 def weighted_ls_solve(
@@ -170,8 +195,8 @@ def weighted_ls_solve(
     Raises :class:`SingularSystemError` when fewer than three samples have
     positive weight (the weighted system is rank deficient).
     """
-    w, logs, _, mid, t, moments = _prepared(signal, weights, clamp_floor)
-    return _normal_solve(w, logs, t, mid, moments)
+    w, w_max, logs, _, mid, t, moments = _prepared(signal, weights, clamp_floor)
+    return _normal_solve(w, w_max, logs, t, mid, moments)
 
 
 def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
@@ -181,8 +206,9 @@ def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
     caller to guard (the iteration zeroes non-finite entries); underflow
     simply produces zero weight.
     """
+    x = np.asarray(grid, dtype=np.float64)
     with np.errstate(over="ignore", under="ignore"):
-        return _gaussian_values(coeffs, np.asarray(grid, dtype=np.float64))
+        return _gaussian_values(coeffs, x, np.empty_like(x), np.empty_like(x))
 
 
 def wls_trace(
@@ -209,12 +235,15 @@ def wls_trace(
     """
     if num_iters < 1:
         raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
-    w, logs, x, mid, t, moments = _prepared(signal, initial_weights, clamp_floor)
+    w, w_max, logs, x, mid, t, moments = _prepared(signal, initial_weights,
+                                                   clamp_floor)
+    # the rebuilt weights get their own buffer: initial_weights stays unwritten
+    expo, rebuilt = np.empty(x.size), np.empty(x.size)
     trace: WlsTrace = []
     with np.errstate(over="ignore", under="ignore"):
         for i in range(num_iters):
             try:
-                coeffs = _normal_solve(w, logs, t, mid, moments)
+                coeffs = _normal_solve(w, w_max, logs, t, mid, moments)
             except SingularSystemError as err:
                 raise SingularSystemError(str(err), stage="wls_trace", iteration=i,
                                           completed=trace) from None
@@ -225,6 +254,9 @@ def wls_trace(
                 pass
             trace.append(WlsStep(coeffs=coeffs, params=params))
             if i + 1 < num_iters:
-                w = _gaussian_values(coeffs, x)
-                w[~np.isfinite(w)] = 0.0
+                w = _gaussian_values(coeffs, x, expo, rebuilt)
+                w_max = float(np.maximum.reduce(w))
+                if not math.isfinite(w_max):  # NaN anywhere makes the max NaN
+                    w[~np.isfinite(w)] = 0.0
+                    w_max = float(np.maximum.reduce(w))
     return trace

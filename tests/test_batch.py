@@ -312,6 +312,20 @@ def test_rows_share_their_block_stage_one(erf_table):
     assert stage_one(MethodSpec("M5"), row, erf_table) is None
 
 
+def test_a_new_table_gets_its_own_split_area_fit():
+    """A block remembers its split-area fits per table.  Python may give a
+    table built after another was freed the freed table's id, and a row
+    fitted again with the new table must still get the new table's fit."""
+    block = sample_gaussian([GaussianParams(1.0, 8.0 + 0.3 * j, 1.2) for j in range(3)],
+                            0.01, 1001, [NoiseSpec(12.0, j) for j in range(3)])
+    row = block.row(0)
+    m3_initial_fit(row, InitConfig(), build_erf_table(0.1, 0.01, 991))  # freed at once
+    for _ in range(50):
+        small = build_erf_table(1.0, 0.5, 5)
+        assert _key(m3_initial_fit(row, InitConfig(), small)) == _key(
+            m3_initial_fit(_alone(row), InitConfig(), small))
+
+
 def test_stage_functions_take_a_block(erf_table, monkeypatch):
     """Each stage given a block returns every row's result, equal to the
     row given alone; a row's error takes its place in the list."""

@@ -71,6 +71,8 @@ def test_config_validation():
         BenchConfig(trials=1, master_seed=1, mu_low=9.0, mu_high=8.0)
     with pytest.raises(GaussFitError):
         BenchConfig(trials=1, master_seed=1, stage2_iters=0)
+    with pytest.raises(GaussFitError, match="repeats"):
+        BenchConfig(trials=1, master_seed=1, iter_sweep=(1, 2, 2, 2, 3))
     cfg = BenchConfig(trials=1, master_seed=1)
     assert cfg.n_samples == 1001
     assert len(cfg.snr_grid_db) == 61

@@ -175,6 +175,16 @@ def test_bench_iters_runs(tmp_path):
     assert lines[1].split(",")[1] == "1"
 
 
+def test_bench_iters_rejects_fractional_sweep(tmp_path):
+    """Rounding 1:0.5:3 to whole counts would repeat the point k=2."""
+    out = tmp_path / "it.csv"
+    res = _run("bench", "iters", "--trials", "2", "--methods", "M5",
+               "--iter-sweep", "1:0.5:3", "--out", str(out))
+    assert res.returncode == 2
+    assert "whole numbers" in res.stderr
+    assert not out.exists()
+
+
 def test_bench_rejects_unknown_method(tmp_path):
     res = _run("bench", "snr", "--trials", "1", "--methods", "M9",
                "--out", str(tmp_path / "x.csv"))

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfit import (
     GaussFitError,
@@ -12,6 +14,7 @@ from gaussfit import (
     LogPolyCoeffs,
     NoiseSpec,
     SampledSignal,
+    ShapeError,
     SingularSystemError,
     coeffs_from_params,
     eval_gaussian,
@@ -119,6 +122,7 @@ def test_weights_from_params_match_model_values():
     coeffs = coeffs_from_params(LONG_TAIL)
     x = _noiseless().grid
     w = weights_from_params(coeffs, x)
+    assert np.array_equal(w, np.exp(coeffs.a + coeffs.b * x + coeffs.c * x * x))
     assert w[900] == pytest.approx(1.0, rel=1e-12)
     direct = eval_gaussian(LONG_TAIL, x)
     assert np.max(np.abs(w - direct)) < 1e-12
@@ -311,7 +315,9 @@ def _plain_trace(sig, w0, num_iters, floor):
             coeffs.append(_plain_solve(x, logs, w))
         except SingularSystemError:
             return coeffs, i
-        w = weights_from_params(coeffs[-1], x)
+        c = coeffs[-1]
+        with np.errstate(over="ignore", under="ignore"):
+            w = np.exp(c.a + c.b * x + c.c * x * x)
         w[~np.isfinite(w)] = 0.0
     return coeffs, None
 
@@ -319,6 +325,24 @@ def _plain_trace(sig, w0, num_iters, floor):
 def _m5_start(sig):
     floor = float(np.max(sig.samples)) * 1e-6
     return np.exp(log_transform(sig, floor)), floor
+
+
+def _assert_trace_equals_plain_oracle(sig, w0, num_iters, floor):
+    """Equal coefficients at every iterate and an equal raised iteration
+    index; ``w0`` is left as it was.  Returns that index (None: no raise)."""
+    kept = np.array(w0, dtype=np.float64)
+    want, raised = _plain_trace(sig, kept, num_iters, floor)
+    if raised is None:
+        got = [step.coeffs for step in wls_trace(sig, w0, num_iters, floor)]
+    else:
+        with pytest.raises(SingularSystemError) as err:
+            wls_trace(sig, w0, num_iters, floor)
+        assert err.value.iteration == raised
+        got = [step.coeffs for step in err.value.completed]
+    # repr tells -0.0 from 0.0 and matches NaN with NaN
+    assert [repr((c.a, c.b, c.c)) for c in got] == [repr((c.a, c.b, c.c)) for c in want]
+    assert np.array_equal(w0, kept)
+    return raised
 
 
 def test_trace_equals_plain_oracle_bit_for_bit():
@@ -343,20 +367,84 @@ def test_trace_equals_plain_oracle_bit_for_bit():
         sig = signals[trial]
         cases.append((sig, *_m5_start(sig)))
 
-    raised_at = []
-    for sig, w0, floor in cases:
-        want, raised = _plain_trace(sig, w0, 12, floor)
-        if raised is None:
-            got = [step.coeffs for step in wls_trace(sig, w0, 12, floor)]
-        else:
-            with pytest.raises(SingularSystemError) as err:
-                wls_trace(sig, w0, 12, floor)
-            assert err.value.iteration == raised
-            got = [step.coeffs for step in err.value.completed]
-        assert [(c.a, c.b, c.c) for c in got] == [(c.a, c.b, c.c) for c in want]
-        raised_at.append(raised)
+    raised_at = [_assert_trace_equals_plain_oracle(sig, w0, 12, floor)
+                 for sig, w0, floor in cases]
     # the 0 dB signal collapses too
     assert raised_at == [None, None, 5, None] + list(collapse.values())
+
+
+def test_rebuilt_weights_overflowing_to_inf_are_zeroed():
+    """Log samples on ``750 - 4 (x-5)^2``, capped at 709, fitted on the
+    flanks below 700: the first iterate is that parabola, whose rebuilt
+    weights overflow around the peak.  Those are zeroed and the trace runs
+    on through all its steps."""
+    x = 0.05 * np.arange(201)
+    logs = 750.0 - 4.0 * (x - 5.0) ** 2
+    sig = SampledSignal(delta_x=0.05, samples=np.exp(np.minimum(logs, 709.0)))
+    w0 = (logs < 700.0).astype(np.float64)
+    coeffs = wls_trace(sig, w0, 1, 1e-300)[0].coeffs
+    with np.errstate(over="ignore"):
+        w1 = weights_from_params(coeffs, sig.grid)
+    assert np.isinf(w1[37:164]).all() and np.isfinite(np.delete(w1, range(37, 164))).all()
+    assert _assert_trace_equals_plain_oracle(sig, w0, 12, 1e-300) is None
+
+
+def test_rebuilt_weights_with_fewer_than_three_positive_raise():
+    """The first iterate underflows at one end and overflows (zeroed) at
+    the other, leaving two positive weights: the second step raises."""
+    sig = SampledSignal(delta_x=1.0, samples=np.exp([-700.0, -700.0, 700.0, 700.0]))
+    assert _assert_trace_equals_plain_oracle(sig, np.ones(4), 3, 1e-300) == 1
+    with pytest.raises(SingularSystemError, match="fewer than 3") as err:
+        wls_trace(sig, np.ones(4), 3, 1e-300)
+    assert len(err.value.completed) == 1
+
+
+@pytest.mark.parametrize("bad, message", [
+    ([np.nan, -1.0], "finite"),
+    ([np.inf, -1.0], "finite"),
+    ([-np.inf, 1.0], "finite"),
+    ([-1.0, 1.0], "non-negative"),
+])
+def test_weight_validation_order(bad, message):
+    """Non-finite weights are reported before negative ones, and a wrong
+    shape before either."""
+    sig = _noiseless()
+    w = np.ones(GRID_N)
+    w[[7, 500]] = bad
+    for entry in (weighted_ls_solve, lambda s, w: wls_trace(s, w, 2)):
+        with pytest.raises(GaussFitError, match=f"weights must be {message}"):
+            entry(sig, w)
+        with pytest.raises(ShapeError):
+            entry(sig, w[1:])
+
+
+@st.composite
+def _traces(draw):
+    """A noisy Gaussian on a random grid, sparse weights with zeros, and
+    a floor and iteration count.  Half the amplitudes are 1e303 to 1e307,
+    where rebuilt weights overflow."""
+    n = draw(st.integers(3, 1200))
+    dx = draw(st.floats(1e-3, 10.0))
+    x0 = draw(st.floats(-1e3, 1e3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    span = (n - 1) * dx
+    mu = x0 + gen.uniform(-0.2, 1.2) * span
+    sigma = gen.uniform(0.02, 1.0) * span
+    x = x0 + dx * np.arange(n)
+    scale = gen.uniform(-300, 307) if gen.random() < 0.5 else gen.uniform(303, 307)
+    clean = 10.0 ** scale * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+    peak = clean.max()
+    noisy = clean + peak * 10.0 ** gen.uniform(-4, 0) * gen.standard_normal(n)
+    sig = SampledSignal(delta_x=dx, samples=noisy, x0=x0)
+    density = max(draw(st.floats(0.02, 1.0)), 3.0 / n)
+    w0 = gen.uniform(0.0, 3.0, n) * (gen.random(n) < density)
+    return sig, w0, draw(st.integers(1, 12)), peak * 10.0 ** gen.uniform(-12, -2)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_traces())
+def test_trace_equals_plain_oracle_property(case):
+    _assert_trace_equals_plain_oracle(*case)
 
 
 def test_single_solve_equals_plain_oracle_bit_for_bit():
