@@ -16,6 +16,8 @@ block of one.  Every row is bit-identical to the signal sampled alone.
 from __future__ import annotations
 
 import math
+import sys
+import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -50,6 +52,11 @@ __all__ = [
 
 # Default clamp policy: floor at this fraction of the largest sample.
 DEFAULT_CLAMP_RATIO = 1e-6
+
+# An x written as x0 + n * delta_x carries up to 3 roundings of eps/2 * |x|,
+# so two steps of a uniform grid can differ by 6 eps * max|x|: the spacing
+# tolerance of read_signal_csv per unit of the largest |x|.
+_X_ROUNDING = 8 * sys.float_info.epsilon
 
 
 @dataclass(frozen=True)
@@ -366,14 +373,72 @@ def read_two_column_csv(
     """The two finite numeric columns of a CSV headed ``names``, and the
     1-based file line of each row.
 
-    The header is compared case-insensitively and blank lines are
-    skipped.  All cells are converted at once, by ``float`` as for a
-    single cell; only when that fails is the first bad row looked for.
-    Every failure is a :class:`ParseError` carrying the 1-based line it
-    concerns.
+    The header is compared case-insensitively, blank lines are skipped
+    and cells convert as ``float`` converts them.  Every failure is a
+    :class:`ParseError` carrying the 1-based line it concerns.
+
+    Two routes give the same result.  A file in the plain form that
+    :func:`write_signal_csv`, ``write_erf_table_csv`` and ``np.savetxt``
+    write -- the exact header, then lines of two cells made only of ASCII
+    digits, ``.``, ``e``, ``E``, ``+`` and ``-``, split by one comma and
+    each ended by ``\n`` -- has all its cells converted by one
+    ``np.fromstring`` call (see :func:`_plain_cells`).  Every other file, and a plain one whose
+    conversion is refused, goes through :func:`_split_cells`: the text is
+    split into lines, all cells are converted at once by ``float``, and
+    only when that fails is the first bad row looked for.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    header = ",".join(names).encode() + b"\n"
+    values = _plain_cells(data[len(header):]) if data.startswith(header) else None
+    if values is not None and values.size >= 2 * min_rows:
+        numbers = range(2, values.size // 2 + 2)
+    else:
+        values, numbers = _split_cells(data.decode("utf-8"), names, min_rows)
+    first, second = values.reshape(-1, 2).T.copy()
+    return first, second, numbers
+
+
+# the characters of a plain cell; what deleting them leaves of a plain body
+# is ",\n" once per line
+_PLAIN_CELL_CHARS = b"0123456789.eE+-"
+
+
+def _plain_cells(body: bytes) -> np.ndarray | None:
+    """The cells of a plain ``body`` in file order, or ``None`` when its
+    conversion is refused.
+
+    numpy's C parser reads each cell with ``PyOS_string_to_double``, the
+    routine ``float`` uses, so a cell it reads to its end has the value
+    ``float`` gives it.  The plain form rules out what only ``float``
+    accepts (underscores, non-ASCII digits, surrounding blanks) and every
+    line break ``str.splitlines`` knows but ``\n``.  At the first cell it
+    cannot read to its end numpy 2 raises ``ValueError``, while numpy
+    1.24-1.26 warn and return the values before it (including a partly
+    read cell), so a warning, an error, a short result and a non-finite
+    value all refuse.
+    """
+    separators = body.translate(None, _PLAIN_CELL_CHARS)
+    rows = len(separators) // 2
+    if not rows or separators != b",\n" * rows:
+        return None
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", DeprecationWarning)
+        try:
+            values = np.fromstring(body.replace(b"\n", b","), sep=",")
+        except (ValueError, DeprecationWarning):
+            return None
+    if values.size != 2 * rows or not np.isfinite(values).all():
+        return None
+    return values
+
+
+def _split_cells(
+    text: str, names: tuple[str, str], min_rows: int
+) -> tuple[np.ndarray, Sequence[int]]:
+    """All cells of ``text`` converted by ``float``, row after row, and the
+    file line of each row."""
+    lines = text.splitlines()
     if not lines:
         raise ParseError("empty file", line=1)
     header = [col.strip().lower() for col in lines[0].split(",")]
@@ -397,8 +462,7 @@ def read_two_column_csv(
     if len(rows) < min_rows:
         raise ParseError(f"need at least {min_rows} data rows, got {len(rows)}",
                          line=len(lines))
-    first, second = values.reshape(-1, 2).T.copy()
-    return first, second, numbers
+    return values, numbers
 
 
 def _raise_first_bad_row(rows: list[str], numbers: Sequence[int]) -> None:
@@ -421,19 +485,24 @@ def read_signal_csv(path) -> SampledSignal:
     """Read an ``x,y`` CSV into a :class:`SampledSignal`.
 
     The header row is required, rows must be sorted by ``x``, and spacing
-    must be uniform to 1e-9 relative tolerance; ``delta_x`` is inferred
-    from the first two rows.  Errors name the file line of the bad row.
+    must be uniform: every step may differ from ``delta_x``, inferred from
+    the first two rows, by 1e-9 of it plus the rounding the ``x`` values
+    themselves carry, ``8 * eps * max(|x_first|, |x_last|)``.  Errors name
+    the file line of the bad row.
     """
     xs, ys, lines = read_two_column_csv(path, ("x", "y"), min_rows=3)
-    delta_x = float(xs[1] - xs[0])
+    x0 = float(xs[0])
+    delta_x = float(xs[1]) - x0
     if delta_x <= 0:
         raise ParseError("x column must be strictly increasing", line=lines[1])
+    tolerance = 1e-9 * delta_x + _X_ROUNDING * max(abs(x0), abs(float(xs[-1])))
     steps = xs[1:] - xs[:-1]
-    bad = np.flatnonzero(np.abs(steps - delta_x) > 1e-9 * abs(delta_x))
-    if bad.size:
-        i = int(bad[0])
+    off = steps - delta_x
+    np.abs(off, off)
+    if np.maximum.reduce(off) > tolerance:
+        i = int(np.argmax(off > tolerance))
         raise ParseError(
             f"non-uniform spacing: step {float(steps[i])!r} vs delta_x {delta_x!r}",
             line=lines[i + 1],
         )
-    return SampledSignal(delta_x=delta_x, samples=ys, x0=float(xs[0]))
+    return SampledSignal(delta_x=delta_x, samples=ys, x0=x0)

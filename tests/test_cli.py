@@ -151,6 +151,21 @@ def test_fit_twice_in_one_process(noiseless_csv, tmp_path):
     assert not table.values.flags.writeable
 
 
+def test_fit_output_does_not_depend_on_csv_route(noiseless_csv, tmp_path):
+    """A plain CSV (read by numpy's C parser) and the same rows with CRLF
+    endings and a blank line (read by ``float``) fit to the same bytes."""
+    from gaussfit import cli
+
+    lines = noiseless_csv.read_text().splitlines()
+    other = tmp_path / "crlf.csv"
+    other.write_bytes("\r\n".join(lines[:500] + [""] + lines[500:]).encode() + b"\r\n")
+    outs = [tmp_path / "plain.json", tmp_path / "crlf.json"]
+    for path, out in zip((noiseless_csv, other), outs):
+        assert cli.main(["fit", "--input", str(path), "--method", "M5",
+                         "--output", str(out)]) == 0
+    assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
 def test_bench_snr_deterministic_bytes(tmp_path):
     args = ("bench", "snr", "--trials", "3", "--seed", "7",
             "--methods", "M1,M3", "--snr=12:0.5:12.5")

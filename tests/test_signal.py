@@ -1,9 +1,14 @@
 """Tests for the Gaussian model, sampling, log transform and signal CSV."""
 
 import math
+import warnings
+from itertools import repeat
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfit import (
     GaussianParams,
@@ -15,15 +20,20 @@ from gaussfit import (
     NoiseSpec,
     ParseError,
     SampledSignal,
+    build_erf_table,
     coeffs_from_params,
     default_clamp_floor,
     eval_gaussian,
     log_transform,
     params_from_coeffs,
+    read_erf_table_csv,
     read_signal_csv,
     sample_gaussian,
+    write_erf_table_csv,
     write_signal_csv,
 )
+from gaussfit import signal as signal_module
+from gaussfit.signal import read_two_column_csv
 
 # standard protocol grid: x in [0, 10] sampled every 0.01
 GRID_DX = 0.01
@@ -263,3 +273,256 @@ def test_signal_csv_cells_parse_like_float(tmp_path):
     path.write_text("x,y\n0,1\n1,2\n2.5,3\n")
     with pytest.raises(ParseError, match=r"step 1\.5 vs delta_x 1\.0"):
         read_signal_csv(path)
+
+
+@pytest.mark.parametrize("delta_x, x0", [(1e-4, 1000.0), (1e-3, 1e5)])
+def test_signal_csv_round_trip_far_from_origin(tmp_path, delta_x, x0):
+    """Each written x carries rounding of about eps * |x|, which far from
+    the origin exceeds 1e-9 of a small step; the spacing check allows for
+    it."""
+    sig = SampledSignal(delta_x=delta_x, samples=np.ones(1001), x0=x0)
+    path = tmp_path / "far.csv"
+    write_signal_csv(sig, path)
+    back = read_signal_csv(path)
+    assert back.x0 == x0
+    assert back.delta_x == pytest.approx(delta_x, rel=1e-6)
+    assert np.array_equal(back.samples, sig.samples)
+
+
+# ------------------------------------------ CSV reader against the oracle
+#
+# The reader as it was before numpy's C parser converted plain files: the
+# text split into lines, every cell converted by ``float``.  Kept verbatim
+# as the oracle of the two-route reader.
+
+def _oracle_read_two_column_csv(path, names, min_rows):
+    with open(path, "r", encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    if not lines:
+        raise ParseError("empty file", line=1)
+    header = [col.strip().lower() for col in lines[0].split(",")]
+    if header != list(names):
+        raise ParseError(f"expected header {','.join(names)!r}, got {lines[0]!r}",
+                         line=1)
+    rows = [raw for raw in lines[1:] if raw.strip()]
+    numbers = (range(2, len(lines) + 1) if len(rows) == len(lines) - 1
+               else [i for i, raw in enumerate(lines[1:], start=2) if raw.strip()])
+    values = np.empty(0)
+    # with one comma in every row, the flat list of cells pairs up row by row
+    if rows:
+        values = None
+        if set(map(str.count, rows, repeat(","))) == {1}:
+            try:
+                values = np.array(",".join(rows).split(","), dtype=np.float64)
+            except ValueError:
+                pass
+    if values is None or not np.isfinite(values).all():
+        _oracle_raise_first_bad_row(rows, numbers)
+    if len(rows) < min_rows:
+        raise ParseError(f"need at least {min_rows} data rows, got {len(rows)}",
+                         line=len(lines))
+    first, second = values.reshape(-1, 2).T.copy()
+    return first, second, numbers
+
+
+def _oracle_raise_first_bad_row(rows, numbers):
+    for raw, line in zip(rows, numbers):
+        cells = raw.split(",")
+        if len(cells) != 2:
+            raise ParseError(f"expected 2 columns, got {len(cells)}", line=line)
+        try:
+            u, v = float(cells[0]), float(cells[1])
+        except ValueError:
+            raise ParseError(f"non-numeric row {raw!r}", line=line) from None
+        if not (math.isfinite(u) and math.isfinite(v)):
+            raise ParseError(f"non-finite row {raw!r}", line=line)
+    raise ParseError("malformed rows")
+
+
+def _outcome(read, *args):
+    """What a read returns, as bytes and plain lists, or what it raises."""
+    try:
+        result = read(*args)
+    except ValueError as err:  # ParseError, and UnicodeDecodeError
+        return type(err), str(err), getattr(err, "line", None)
+    if isinstance(result, SampledSignal):
+        return (result.samples.tobytes(), result.samples.flags.c_contiguous,
+                result.x0, result.delta_x)
+    first, second, lines = result
+    return (first.tobytes(), second.tobytes(), list(lines),
+            first.flags.c_contiguous, second.flags.c_contiguous)
+
+
+_real_fromstring = np.fromstring
+
+
+def _fromstring_numpy_1_24(string, sep):
+    """``np.fromstring`` as numpy 1.24-1.26 have it: at a cell it cannot
+    read to its end it warns and returns the values before that cell and
+    the number the cell starts with, if any."""
+    try:
+        return _real_fromstring(string, sep=sep)
+    except ValueError:
+        pass
+    warnings.warn("string or file could not be read to its end due to unmatched "
+                  "data; this will raise a ValueError in the future.",
+                  DeprecationWarning, stacklevel=2)
+    values = []
+    for cell in string.split(sep.encode()):
+        read = max((end for end in range(len(cell) + 1)
+                    if _reads_one_number(cell[:end], sep)), default=0)
+        values.extend(_real_fromstring(cell[:read], sep=sep))
+        if not cell or read < len(cell):
+            break
+    return np.array(values)
+
+
+def _reads_one_number(text, sep):
+    try:
+        return _real_fromstring(text, sep=sep).size == 1
+    except ValueError:
+        return False
+
+
+def _numbers(draw, n):
+    return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
+                                   width=draw(st.sampled_from([16, 32, 64]))),
+                         min_size=n, max_size=n))
+
+
+_FORMATS = ("{:.17g}".format, repr, "{:.3f}".format, "{:.6g}".format)
+
+# what gets inserted at a random place, and what replaces a whole cell
+_INSERTS = ("_", "\u0662", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " ",
+            "\x00", "\t", "#", '"', ",", "\n", "\n\n", " \n", "\t\n", "e", ".",
+            "-", "+", "0")
+_CELLS = ("", "inf", "-inf", "nan", "nan(1)", "0x10", "1e", "1_0", "\u0662",
+          " 1 ", "-", "1e5e", "1e400", "1..2", "+-1", "Infinity")
+
+
+@st.composite
+def _csv_texts(draw):
+    """Well-formed two-column CSV text, then a few mutations of it, half of
+    them at a separator."""
+    n = draw(st.integers(0, 12))
+    if draw(st.booleans()):  # a uniform grid, as read_signal_csv wants
+        x0 = draw(st.floats(-1e6, 1e6))
+        xs = (x0 + draw(st.floats(1e-4, 10.0)) * np.arange(n)).tolist()
+    else:
+        xs = _numbers(draw, n)
+    ys = _numbers(draw, n)
+    fmt = draw(st.sampled_from(_FORMATS))
+    header = "x,y"
+    if draw(st.integers(0, 3)) == 0:
+        header = draw(st.sampled_from(["X,Y", " x , y ", "x, y", "x,y,z",
+                                       "k,erf_k_over_sqrt2", ""]))
+    text = header + "\n" + "".join(f"{fmt(x)},{fmt(y)}\n" for x, y in zip(xs, ys))
+    for _ in range(draw(st.integers(0, 3))):
+        commas = [i for i, ch in enumerate(text) if ch == ","]
+        newlines = [i for i, ch in enumerate(text) if ch == "\n"]
+        at = draw(st.integers(0, len(text)))
+        if commas + newlines and draw(st.booleans()):
+            at = draw(st.sampled_from(commas + newlines)) + draw(st.integers(0, 1))
+        kind = draw(st.sampled_from(["insert", "cell", "delete", "exchange"]))
+        if kind == "insert":
+            text = text[:at] + draw(st.sampled_from(_INSERTS)) + text[at:]
+        elif kind == "cell":  # replace the cell around ``at``
+            start = max(text.rfind(",", 0, at), text.rfind("\n", 0, at)) + 1
+            stops = [i for i in (text.find(",", at), text.find("\n", at)) if i >= 0]
+            stop = min(stops, default=len(text))
+            text = text[:start] + draw(st.sampled_from(_CELLS)) + text[stop:]
+        elif kind == "delete":  # a missing comma, newline (the final one too) or character
+            text = text[:at] + text[at + 1:]
+        elif commas and newlines:  # one row loses a comma, another gains one
+            i, j = draw(st.sampled_from(commas)), draw(st.sampled_from(newlines))
+            chars = list(text)
+            chars[i], chars[j] = "\n", ","
+            text = "".join(chars)
+    return text
+
+
+# texts the two routes could read differently: a vertical tab that
+# splitlines breaks at, an overflowing cell, rows of three and one cells,
+# and a last cell numpy 1.24 reads in part
+_TRICKY_TEXTS = ("x,y\n0,1\x0b\n1,2\n2,3\n", "x,y\n0 ,1\n1\x0c,2\n2,3\n",
+                 "x,y\n0,1\n1,1e400\n2,3\n", "x,y\n0,1,2\n3\n4,5\n",
+                 "x,y\n0,1\n1,2\n2,3e\n", "x,y\n0,1\n1,2\n2,3")
+
+
+@pytest.fixture(scope="module")
+def csv_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("csv") / "t.csv"
+
+
+@pytest.mark.parametrize("numpy_1_24", [False, True])
+@pytest.mark.parametrize("min_rows", [1, 3])
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_reader_equals_oracle_property(csv_path, min_rows, numpy_1_24, text):
+    """For any text the reader returns the oracle's arrays (bit for bit)
+    and lines, or raises its error with the same message and line; also
+    under numpy 1.24's ``fromstring``, which warns instead of raising."""
+    csv_path.write_bytes(text.encode("utf-8"))
+    fromstring = _fromstring_numpy_1_24 if numpy_1_24 else _real_fromstring
+    with mock.patch.object(np, "fromstring", fromstring):
+        got = _outcome(read_two_column_csv, csv_path, ("x", "y"), min_rows)
+    assert got == _outcome(_oracle_read_two_column_csv, csv_path, ("x", "y"), min_rows)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_csv_texts())
+def test_read_signal_csv_equals_oracle_property(csv_path, text):
+    csv_path.write_bytes(text.encode("utf-8"))
+    got = _outcome(read_signal_csv, csv_path)
+    with mock.patch.object(signal_module, "read_two_column_csv",
+                           _oracle_read_two_column_csv):
+        assert got == _outcome(read_signal_csv, csv_path)
+
+
+@pytest.mark.parametrize("numpy_1_24", [False, True])
+@pytest.mark.parametrize("text", _TRICKY_TEXTS)
+def test_tricky_texts_equal_oracle(tmp_path, text, numpy_1_24):
+    path = tmp_path / "t.csv"
+    path.write_bytes(text.encode("utf-8"))
+    fromstring = _fromstring_numpy_1_24 if numpy_1_24 else _real_fromstring
+    with mock.patch.object(np, "fromstring", fromstring):
+        got = _outcome(read_two_column_csv, path, ("x", "y"), 3)
+        signal = _outcome(read_signal_csv, path)
+    assert got == _outcome(_oracle_read_two_column_csv, path, ("x", "y"), 3)
+    with mock.patch.object(signal_module, "read_two_column_csv",
+                           _oracle_read_two_column_csv):
+        assert signal == _outcome(read_signal_csv, path)
+
+
+def test_numpy_1_24_fake_reads_a_partial_last_cell():
+    """numpy 1.24 reads the ``3`` of a last cell ``3e`` and only warns, so
+    its result has the full length; only the warning tells."""
+    with pytest.warns(DeprecationWarning):
+        assert _fromstring_numpy_1_24(b"0,1,2,3e,", ",").tolist() == [0, 1, 2, 3]
+
+
+def test_plain_files_take_the_c_route(tmp_path, monkeypatch):
+    """Files in the three shapes the project writes are read without the
+    ``float`` route, and equal the oracle."""
+    signal_path, table_path, savetxt_path = (tmp_path / f"{name}.csv"
+                                             for name in ("signal", "table", "savetxt"))
+    sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(6.0, 3))
+    write_signal_csv(SampledSignal(sig.delta_x, sig.samples, x0=-37.25), signal_path)
+    write_erf_table_csv(build_erf_table(0.1, 0.01, 991), table_path)
+    np.savetxt(savetxt_path, np.column_stack([sig.grid + 55.1, sig.samples * 1e-3]),
+               fmt="%.17g", delimiter=",", header="x,y", comments="")
+
+    def refuse(*args):
+        raise AssertionError("read through the float route")
+
+    want = [_outcome(_oracle_read_two_column_csv, signal_path, ("x", "y"), 3),
+            _outcome(_oracle_read_two_column_csv, table_path, ("k", "erf_k_over_sqrt2"), 1),
+            _outcome(_oracle_read_two_column_csv, savetxt_path, ("x", "y"), 3)]
+    assert all(isinstance(w[0], bytes) for w in want)
+    monkeypatch.setattr(signal_module, "_split_cells", refuse)
+    assert [_outcome(read_two_column_csv, signal_path, ("x", "y"), 3),
+            _outcome(read_two_column_csv, table_path, ("k", "erf_k_over_sqrt2"), 1),
+            _outcome(read_two_column_csv, savetxt_path, ("x", "y"), 3)] == want
+    assert read_signal_csv(signal_path).x0 == -37.25
+    assert read_erf_table_csv(table_path).k_count == 991
+    assert len(read_signal_csv(savetxt_path)) == GRID_N
