@@ -413,10 +413,10 @@ def _plain_cells(body: bytes) -> np.ndarray | None:
     ``float`` gives it.  The plain form rules out what only ``float``
     accepts (underscores, non-ASCII digits, surrounding blanks) and every
     line break ``str.splitlines`` knows but ``\n``.  At the first cell it
-    cannot read to its end numpy 2 raises ``ValueError``, while numpy
-    1.24-1.26 warn and return the values before it (including a partly
-    read cell), so a warning, an error, a short result and a non-finite
-    value all refuse.
+    cannot read to its end numpy 2.4 raises ``ValueError``, while numpy
+    1.24 warns and returns the values before it (including a partly read
+    cell), so a warning, an error, a short result and a non-finite value
+    all refuse.
     """
     separators = body.translate(None, _PLAIN_CELL_CHARS)
     rows = len(separators) // 2

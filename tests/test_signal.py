@@ -287,6 +287,14 @@ def test_signal_csv_round_trip_far_from_origin(tmp_path, delta_x, x0):
     assert back.x0 == x0
     assert back.delta_x == pytest.approx(delta_x, rel=1e-6)
     assert np.array_equal(back.samples, sig.samples)
+    # a step off by 1e-6 of delta_x is still caught, at its line
+    lines = path.read_text().splitlines()
+    x, y = lines[501].split(",")
+    lines[501] = f"{float(x) + 1e-6 * delta_x!r},{y}"
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ParseError, match="non-uniform spacing") as err:
+        read_signal_csv(path)
+    assert err.value.line == 502
 
 
 # ------------------------------------------ CSV reader against the oracle
@@ -357,7 +365,7 @@ _real_fromstring = np.fromstring
 
 
 def _fromstring_numpy_1_24(string, sep):
-    """``np.fromstring`` as numpy 1.24-1.26 have it: at a cell it cannot
+    """``np.fromstring`` as numpy 1.24 has it: at a cell it cannot
     read to its end it warns and returns the values before that cell and
     the number the cell starts with, if any."""
     try:
