@@ -43,8 +43,8 @@ from .initfit import (
     PeakEstimate,
     build_erf_table,
     combine_sigma,
+    default_erf_table,
     m3_initial_fit,
-    m3_initial_fit_block,
     naive_peak,
     partial_areas,
     read_erf_table_csv,
@@ -63,7 +63,7 @@ from .methods import (
     stage_one,
     start_weights,
 )
-from .results import CONVERGED, DEGENERATE_FALLBACK, FAILED, FitResult, WlsStep, WlsTrace
+from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult, WlsStep, WlsTrace
 from .signal import (
     GaussianParams,
     LogPolyCoeffs,

@@ -43,7 +43,7 @@ import numpy as np
 
 from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
-from .initfit import ErfTable, InitConfig, build_erf_table
+from .initfit import ErfTable, InitConfig, default_erf_table
 from .linfit import wls_trace
 from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, start_weights
 from .results import CONVERGED
@@ -341,7 +341,7 @@ def run_bench_snr(config: BenchConfig, table: ErfTable | None = None) -> BenchRe
     between-method noise variance from the comparison.
     """
     if table is None:
-        table = build_erf_table(0.1, 0.01, 991)
+        table = default_erf_table()
     grid = config.snr_grid_db
     report = BenchReport(mode="snr")
     all_seeds: list[int] = []
@@ -419,7 +419,7 @@ def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> Bench
     if config.iter_sweep is None:
         raise GaussFitError("iter_sweep must be set for the iteration benchmark")
     if table is None:
-        table = build_erf_table(0.1, 0.01, 991)
+        table = default_erf_table()
     cells, seeds = _iters_point(config, table)
     _check_seed_collisions(seeds)
     report = BenchReport(mode="iters")

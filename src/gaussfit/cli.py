@@ -22,9 +22,9 @@ import sys
 from .bench import BenchConfig, run_bench_iters, run_bench_snr, write_report_csv
 from .errors import GaussFitError, ParseError
 from .initfit import (
-    ErfTable,
     InitConfig,
     build_erf_table,
+    default_erf_table,
     read_erf_table_csv,
     write_erf_table_csv,
 )
@@ -139,17 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _default_erf_table() -> ErfTable:
-    """The default lookup table, built on first use and shared by every
-    later fit in the process, so its arrays are made read-only."""
-    init = InitConfig()
-    table = build_erf_table(init.k_start, init.k_step, init.k_count)
-    table.k.flags.writeable = False
-    table.values.flags.writeable = False
-    return table
-
-
 def _cmd_fit(args) -> int:
     try:
         signal = read_signal_csv(args.input)
@@ -167,10 +156,8 @@ def _cmd_fit(args) -> int:
             kwargs["stage2_iters"] = args.iters
             kwargs["m5_iters"] = args.iters
         spec = MethodSpec(method_id=args.method, **kwargs)
-        if args.erf_table is not None:
-            table = read_erf_table_csv(args.erf_table)
-        else:
-            table = _default_erf_table()
+        table = (default_erf_table() if args.erf_table is None
+                 else read_erf_table_csv(args.erf_table))
     except (OSError, GaussFitError) as err:
         print(f"gaussfit: {err}", file=sys.stderr)
         return _EXIT_USAGE

@@ -14,24 +14,23 @@ The lookup table stores ``erf(k / sqrt 2)`` on a fixed k grid.  Because
 the half-width enters the area equations only through ``k = halfwidth /
 sigma``, one table serves every signal regardless of its scale.
 
-Both pipelines work on blocks of signals that share one grid
-(:class:`gaussfit.signal.SignalBlock`).  Every stage function takes a
-block in place of the signal, with one value per row for its other
-inputs, and returns a list with every row's result, an error of a row
-taking that row's place; :func:`sigma_from_area` takes arrays in place of
-its numbers.  A stage computes the moving-average peaks, table lookups,
-``rho`` weights and template products as whole-block array operations;
-only the decisions (fallbacks, statuses, diagnostics, typed errors with
-their stage labels) are made row by row, in :func:`m3_initial_fit_block`.
-Given one signal, a stage runs on a block of one, so there is one
-implementation of each stage.  The sums over a row's slice (the partial
-areas and the ``rho`` numerator) and the template dot products stay one
-numpy call per row, because their rounding depends on the slice; every
-row equals the row computed alone bit for bit.
+Every stage works on a block of signals that share one grid
+(:class:`gaussfit.signal.SignalBlock`): it takes the block, with one value
+per row for its other inputs, and returns a list with one entry per row,
+an error of a row taking that row's place; :func:`sigma_from_area` takes
+and returns arrays.  The moving-average peaks, table lookups, ``rho``
+weights and templates are whole-block array operations.  The sums over a
+row's slice (the partial areas and the ``rho`` numerator) and the
+template dot products are one numpy call per row, because their rounding
+depends on the slice, so every row equals the row computed alone bit for
+bit.  :func:`m3_initial_fit` fits a signal by running each stage once over
+the signal's block and then deciding every row in stage order: fallbacks,
+statuses, diagnostics, and typed errors with their stage labels.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -61,12 +60,12 @@ __all__ = [
     "windowed_peak",
     "partial_areas",
     "build_erf_table",
+    "default_erf_table",
     "sigma_from_area",
     "rho_from_samples",
     "combine_sigma",
     "refine_amplitude",
     "m3_initial_fit",
-    "m3_initial_fit_block",
     "read_erf_table_csv",
     "write_erf_table_csv",
 ]
@@ -96,18 +95,10 @@ class InitConfig:
     """Tunables of the split-area initializer."""
 
     window_l: int = 3
-    k_start: float = 0.1
-    k_step: float = 0.01
-    k_count: int = 991
 
     def __post_init__(self):
         if self.window_l < 1:
             raise InvalidWindowError(f"window_l must be >= 1, got {self.window_l}")
-        if self.k_start <= 0 or self.k_step <= 0 or self.k_count < 1:
-            raise InvalidGridError(
-                f"k grid must be positive and increasing, got start={self.k_start}, "
-                f"step={self.k_step}, count={self.k_count}"
-            )
 
 
 @dataclass
@@ -160,24 +151,23 @@ def build_erf_table(k_start: float, k_step: float, k_count: int) -> ErfTable:
     return ErfTable(k=k, values=values)
 
 
-def _single(outcomes: list):
-    """The only outcome of a block of one, raised if it is an error."""
-    if isinstance(outcomes[0], GaussFitError):
-        raise outcomes[0]
-    return outcomes[0]
+@functools.cache
+def default_erf_table() -> ErfTable:
+    """The default table, k from 0.1 to 10 in steps of 0.01.  It is built
+    on first use and shared by every later caller in the process, so its
+    arrays are made read-only."""
+    table = build_erf_table(0.1, 0.01, 991)
+    table.k.flags.writeable = False
+    table.values.flags.writeable = False
+    return table
 
 
-def naive_peak(signal: SampledSignal | SignalBlock):
-    """Largest sample and its index; ties go to the smallest index.
-
-    Given a :class:`SignalBlock`, a list with every row's peak, or the
-    :class:`NoPeakError` of a row without a positive sample.
-    """
-    if not isinstance(signal, SignalBlock):
-        return _single(naive_peak(SignalBlock.of(signal)))
-    y = signal.samples
+def naive_peak(block: SignalBlock) -> list:
+    """Each row's largest sample and its index; ties go to the smallest
+    index.  A row without a positive sample gets a :class:`NoPeakError`."""
+    y = block.samples
     n_hat = y.argmax(axis=1).tolist()
-    x0, dx = signal.x0, signal.delta_x
+    x0, dx = block.x0, block.delta_x
     heights = [float(row[i]) for row, i in zip(y, n_hat)]
     return [PeakEstimate(n_hat=i, mu_hat=x0 + i * dx, amplitude_hat=a) if a > 0
             else NoPeakError("all samples are non-positive", stage="naive_peak")
@@ -189,29 +179,26 @@ def _check_amplitude(amplitude_hat: float) -> None:
         raise InvalidAmplitudeError(f"amplitude must be > 0, got {amplitude_hat!r}")
 
 
-def sigma_area_m1(signal: SampledSignal | SignalBlock, amplitude_hat):
-    """Width from the full sample sum treated as the Gaussian integral.
+def sigma_area_m1(block: SignalBlock, amplitude_hat: list) -> list:
+    """Width of each row from its full sample sum treated as the Gaussian
+    integral, given one peak height per row.
 
     Since the integral of the model is ``A * sqrt(2 pi) * sigma``, the
     estimate is ``sum(y) * delta_x / (A_hat * sqrt(2 pi))``.  Accurate
     only when the sampled window covers essentially the whole bell; when a
     long tail is cut off, the sum misses area and the width is biased low
     no matter how fine the spacing is.
-
-    Given a :class:`SignalBlock` and one amplitude per row, a list with
-    every row's width.
     """
-    if not isinstance(signal, SignalBlock):
-        return sigma_area_m1(SignalBlock.of(signal), [amplitude_hat])[0]
     for a in amplitude_hat:
         _check_amplitude(a)
-    dx = signal.delta_x
+    dx = block.delta_x
     return [total * dx / (a * _SQRT_2PI)
-            for total, a in zip(signal.samples.sum(axis=1).tolist(), amplitude_hat)]
+            for total, a in zip(block.samples.sum(axis=1).tolist(), amplitude_hat)]
 
 
-def windowed_peak(signal: SampledSignal | SignalBlock, window_l: int):
-    """Peak from a length-L moving average; robust to single-sample noise.
+def windowed_peak(block: SignalBlock, window_l: int) -> list:
+    """Each row's peak from a length-L moving average; robust to
+    single-sample noise.
 
     ``n_hat`` is the window start maximizing the average of samples
     ``n .. n+L-1``; the location estimate sits at the window center
@@ -221,12 +208,9 @@ def windowed_peak(signal: SampledSignal | SignalBlock, window_l: int):
     The moving average is built as a chain of scaled, shifted copies of
     the samples, ``((y[n] w + y[n+1] w) + ...) + y[n+L-1] w``: elementwise
     arithmetic whose result does not depend on the row count or the BLAS
-    kernel of the machine.  Given a :class:`SignalBlock`, a list with
-    every row's peak.
+    kernel of the machine.
     """
-    if not isinstance(signal, SignalBlock):
-        return windowed_peak(SignalBlock.of(signal), window_l)[0]
-    y = signal.samples
+    y = block.samples
     n = y.shape[1]
     if not 1 <= window_l <= n - 1:
         raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window_l}",
@@ -237,22 +221,19 @@ def windowed_peak(signal: SampledSignal | SignalBlock, window_l: int):
     for k in range(1, window_l):
         averages += y[:, k:k + m] * w
     starts = averages.argmax(axis=1).tolist()
-    x0, dx, half = signal.x0, signal.delta_x, window_l // 2
+    x0, dx, half = block.x0, block.delta_x, window_l // 2
     return [PeakEstimate(n_hat=s, mu_hat=x0 + (s + half) * dx,
                          amplitude_hat=float(row[s + half]))
             for s, row in zip(starts, y)]
 
 
-def partial_areas(signal: SampledSignal | SignalBlock, n_hat):
-    """Split ``delta_x * sum(y)`` at the peak index.
+def partial_areas(block: SignalBlock, n_hat: list) -> list:
+    """Split each row's ``delta_x * sum(y)`` at its peak index.
 
     ``s_beta`` collects samples before ``n_hat``, ``s_alpha`` the rest;
-    together they partition the full sum.  Given a :class:`SignalBlock`
-    and one index per row, a list with every row's areas.
+    together they partition the full sum.
     """
-    if not isinstance(signal, SignalBlock):
-        return partial_areas(SignalBlock.of(signal), [n_hat])[0]
-    y, dx = signal.samples, signal.delta_x
+    y, dx = block.samples, block.delta_x
     n = y.shape[1]
     areas = []
     for row, i in zip(y, n_hat):
@@ -271,26 +252,21 @@ def _area_problem(area: float, half_width: float) -> str | None:
     return None
 
 
-def sigma_from_area(area, half_width, amplitude_hat, table: ErfTable):
-    """Width estimate from a one-sided area via the lookup table.
+def sigma_from_area(area: np.ndarray, half_width: np.ndarray,
+                    amplitude_hat: np.ndarray, table: ErfTable):
+    """Width estimates from one-sided areas via the lookup table.
 
     A half-Gaussian of width ``sigma`` truncated ``half_width`` from its
     peak has area ``sqrt(2 pi) A halfwidth / (2 k) * erf(k / sqrt 2)``
     with ``k = half_width / sigma``; the grid value minimizing the squared
     mismatch against ``area`` gives ``sigma = half_width / k_star``.
 
-    Returns ``(sigma, k_star)``.  Ties break toward smaller k; the full
-    grid is scanned, no interpolation.  Given 1-d arrays of areas, half
-    widths and amplitudes, returns arrays of both, from one
-    ``(len(area), k_count)`` objective in which each row takes its first
-    minimum.
+    Takes 1-d arrays of areas, half widths and peak heights and returns
+    the arrays ``(sigma, k_star)``, from one ``(len(area), k_count)``
+    objective scanned over the full grid, without interpolation.  Ties
+    break toward smaller k: each row takes its first minimum.
     """
-    scalar = np.ndim(area) == 0
-    if not scalar:
-        area, half_width, amplitude_hat = (np.asarray(v, dtype=np.float64)
-                                           for v in (area, half_width, amplitude_hat))
-    for a, h, amp in ([(area, half_width, amplitude_hat)] if scalar
-                      else zip(area.tolist(), half_width.tolist(), amplitude_hat.tolist())):
+    for a, h, amp in zip(area.tolist(), half_width.tolist(), amplitude_hat.tolist()):
         _check_amplitude(amp)
         problem = _area_problem(a, h)
         if problem is not None:
@@ -298,48 +274,46 @@ def sigma_from_area(area, half_width, amplitude_hat, table: ErfTable):
     k = table.k
     objective = np.divide.outer(_SQRT_2PI * amplitude_hat * half_width, 2.0 * k)
     objective *= table.values  # the predicted areas
-    np.subtract(area if scalar else area[:, None], objective, out=objective)
+    np.subtract(area[:, None], objective, out=objective)
     np.square(objective, out=objective)
-    k_star = k[objective.argmin(axis=-1)]  # the first minimum: smaller k wins
-    sigma = half_width / k_star
-    return (float(sigma), float(k_star)) if scalar else (sigma, k_star)
+    k_star = k[objective.argmin(axis=1)]
+    return half_width / k_star, k_star
 
 
-def _nearest_index(signal: SignalBlock, mu_hat: float) -> int:
+def _nearest_index(block: SignalBlock, mu_hat: float) -> int:
     """Grid index nearest to a location (ties to even), clamped into the grid."""
-    index = round((mu_hat - signal.x0) / signal.delta_x)
-    return min(max(index, 0), signal.samples.shape[1] - 1)
+    index = round((mu_hat - block.x0) / block.delta_x)
+    return min(max(index, 0), block.samples.shape[1] - 1)
 
 
-def rho_from_samples(signal: SampledSignal | SignalBlock, mu_hat):
-    """Combination weight for the two one-sided width estimates.
+def rho_from_samples(block: SignalBlock, mu_hat: list) -> list:
+    """Combination weight of each row's two one-sided width estimates,
+    given one location per row.
 
     Ratios the noisy fourth-moment sums ``y^2 (mu_hat - x)^4`` on the
     right side of the peak against the full range, clipped into [0, 1].
     The same ratio over the noiseless samples is the variance-optimal
-    weight; see :func:`gaussfit.crlb.optimal_rho_oracle`.
+    weight; see :func:`gaussfit.crlb.optimal_rho_oracle`.  A row whose
+    denominator is unusable gets a :class:`DegenerateRhoError`.
 
-    Given a :class:`SignalBlock` and one location per row, a list with
-    every row's weight, or the :class:`DegenerateRhoError` of a row whose
-    denominator is unusable.  The lever ``(mu_hat - x)^4`` is a squared
-    square; the numerator is one sum per row, since its slice differs.
+    The lever ``(mu_hat - x)^4`` is a squared square; the numerator is
+    one sum per row, since its slice differs.
     """
-    if not isinstance(signal, SignalBlock):
-        return _single(rho_from_samples(SignalBlock.of(signal), [mu_hat]))
     mu = np.asarray(mu_hat, dtype=np.float64)
-    contrib = signal.samples * signal.samples
-    lever = mu[:, None] - signal.grid
+    contrib = block.samples * block.samples
+    lever = mu[:, None] - block.grid
     np.square(lever, out=lever)
     np.square(lever, out=lever)
     contrib *= lever
     del lever
     rhos = []
-    for row, start, denom in zip(contrib, [_nearest_index(signal, m) for m in mu.tolist()],
+    for row, start, denom in zip(contrib, [_nearest_index(block, m) for m in mu.tolist()],
                                  contrib.sum(axis=1).tolist()):
         if math.isfinite(denom) and denom > 0:
             rhos.append(min(max(float(np.sum(row[start:])) / denom, 0.0), 1.0))
         else:
-            rhos.append(DegenerateRhoError(f"weight denominator is {denom!r}"))
+            rhos.append(DegenerateRhoError(f"weight denominator is {denom!r}",
+                                           stage="rho_from_samples"))
     return rhos
 
 
@@ -354,28 +328,18 @@ def combine_sigma(sigma_alpha: float, sigma_beta: float, rho: float) -> float:
     return rho * sigma_alpha + (1.0 - rho) * sigma_beta
 
 
-def _sub_block(block: SignalBlock, rows: list[int]) -> SignalBlock:
-    """Rows ``rows`` of ``block``, without a copy when that is every row."""
-    if len(rows) == len(block):
-        return block
-    return SignalBlock(block.delta_x, block.samples[rows], block.x0)
-
-
-def refine_amplitude(signal: SampledSignal | SignalBlock, mu_hat, sigma_hat):
-    """Least-squares amplitude for a fixed unit-height template.
+def refine_amplitude(block: SignalBlock, mu_hat: list, sigma_hat: list) -> list:
+    """Least-squares amplitude of each row for a fixed unit-height
+    template, given one location and width per row.
 
     With ``g[n] = exp(-(x[n] - mu_hat)^2 / (2 sigma_hat^2))`` the residual
     ``sum (a g - y)^2`` is minimized by ``a = (g . y) / (g . g)``, using
-    every sample instead of the single one at the peak.
-
-    Given a :class:`SignalBlock` and one location and width per row, a
-    list with every row's amplitude, or the error of a row whose width or
-    template is unusable.  The templates are built as one block; the dot
-    products are one ``np.dot`` per row.
+    every sample instead of the single one at the peak.  A row whose width
+    or template is unusable gets its error.  The templates of the other
+    rows are built as one block; the dot products are one ``np.dot`` per
+    row.
     """
-    if not isinstance(signal, SignalBlock):
-        return _single(refine_amplitude(SignalBlock.of(signal), [mu_hat], [sigma_hat]))
-    out: list = [None] * len(signal)
+    out: list = [None] * len(block)
     good = []
     for i, sigma in enumerate(sigma_hat):
         if math.isfinite(sigma) and sigma > 0:
@@ -384,17 +348,17 @@ def refine_amplitude(signal: SampledSignal | SignalBlock, mu_hat, sigma_hat):
             out[i] = InvalidWidthError(f"sigma must be > 0, got {sigma!r}")
     if not good:
         return out
-    if len(good) < len(signal):
-        signal = _sub_block(signal, good)
+    if len(good) < len(block):
+        block = SignalBlock(block.delta_x, block.samples[good], block.x0)
         mu_hat, sigma_hat = [mu_hat[i] for i in good], [sigma_hat[i] for i in good]
-    z = signal.grid - np.array(mu_hat, dtype=np.float64)[:, None]
+    z = block.grid - np.array(mu_hat, dtype=np.float64)[:, None]
     z /= np.array(sigma_hat, dtype=np.float64)[:, None]
     g = -0.5 * z
     g *= z
     del z
     with np.errstate(under="ignore"):
         np.exp(g, out=g)
-    for i, gi, yi in zip(good, g, signal.samples):
+    for i, gi, yi in zip(good, g, block.samples):
         gg = float(np.dot(gi, gi))
         if not math.isfinite(gg) or gg <= 0:
             out[i] = DegenerateAreaError("amplitude template vanishes on the grid")
@@ -417,20 +381,21 @@ def m3_initial_fit(
     other side's estimate is used alone and the result is flagged
     ``degenerate-fallback``.
 
-    One row of :func:`m3_initial_fit_block`: on a row of a
-    :class:`SignalBlock` the whole block is fitted the first time one of
-    its rows asks with this ``config`` and ``table``, and the other rows
-    read their outcome.
+    On a row of a :class:`SignalBlock` the whole block is fitted the first
+    time one of its rows asks with this ``config`` and ``table``, and the
+    other rows read their outcome; a signal of its own is a block of one.
     """
     block, i = SignalBlock.containing(signal)
     # the entry holds the table, so its id cannot pass to a new table
     # while the entry lives
     _, outcomes = block.once(("m3", config, id(table)),
-                             lambda: (table, m3_initial_fit_block(block, config, table)))
-    return _single([outcomes[i]])
+                             lambda: (table, _m3_initial_fit_block(block, config, table)))
+    if isinstance(outcomes[i], GaussFitError):
+        raise outcomes[i]
+    return outcomes[i]
 
 
-def m3_initial_fit_block(
+def _m3_initial_fit_block(
     block: SignalBlock,
     config: InitConfig,
     table: ErfTable,
@@ -439,88 +404,80 @@ def m3_initial_fit_block(
     :class:`GaussFitError` the row raises alone (same class, message and
     stage).
 
-    Each stage runs once over the rows still in play: the moving-average
-    peak over the block, the table lookup over every usable side of every
-    row as one ``(sides, k_count)`` objective, the ``rho`` weights over
-    the rows with two sides, and the template amplitude over the rows
-    with a width.
+    One pass: the windowed peak, the partial areas and ``rho`` run over
+    the whole block; the table lookup runs once over every usable side of
+    the rows with a peak, as one ``(sides, k_count)`` objective; each row
+    is then decided in stage order; and the template amplitude runs once
+    over the block, with a NaN width for the rows already decided.
     """
-    rows = len(block)
     try:
         peaks = windowed_peak(block, config.window_l)
     except InvalidWindowError as err:
-        return [err] * rows
+        return [err] * len(block)
     dx, n = block.delta_x, block.samples.shape[1]
     mu_hat = [p.mu_hat for p in peaks]
     n_hat = [_nearest_index(block, mu) for mu in mu_hat]
-    outcomes: list = [None] * rows
-    diagnostics: list = [None] * rows
-
-    live = []
-    for i, peak in enumerate(peaks):
-        if peak.amplitude_hat <= 0:
-            outcomes[i] = NoPeakError("windowed peak height is non-positive",
-                                      stage="windowed_peak")
-        else:
-            live.append(i)
-    sides = []  # (row, side, area, half width, peak height) of every usable side
-    for i, areas in zip(live, partial_areas(_sub_block(block, live),
-                                            [n_hat[i] for i in live])):
-        nh, height = n_hat[i], peaks[i].amplitude_hat
-        diagnostics[i] = {"n_hat": nh, "s_beta": areas.s_beta, "s_alpha": areas.s_alpha}
-        for side, area, half_width in (("beta", areas.s_beta, nh * dx),
-                                       ("alpha", areas.s_alpha, (n - nh) * dx)):
-            if _area_problem(area, half_width) is None:
-                sides.append((i, side, area, half_width, height))
-
-    widths: dict = {}
+    # these two also run on rows an earlier stage has decided; an area or a
+    # weight that overflows ends in a fallback or a typed error, so numpy's
+    # warnings would only be noise
+    with np.errstate(over="ignore", invalid="ignore"):
+        areas = partial_areas(block, n_hat)
+        rhos = rho_from_samples(block, mu_hat)
+    sides = [(i, side, area, half_width, peak.amplitude_hat)
+             for i, (peak, nh, a) in enumerate(zip(peaks, n_hat, areas))
+             if peak.amplitude_hat > 0
+             for side, area, half_width in (("beta", a.s_beta, nh * dx),
+                                            ("alpha", a.s_alpha, (n - nh) * dx))
+             if _area_problem(area, half_width) is None]
+    lookups: dict = {}  # (row, side) -> (sigma, k_star)
     if sides:
-        index, names, areas, half_widths, amplitudes = zip(*sides)
-        sigmas, k_stars = sigma_from_area(np.array(areas), np.array(half_widths),
-                                          np.array(amplitudes), table)
-        k_lo, k_hi = float(table.k[0]), float(table.k[-1])
-        for i, side, sigma, k_star in zip(index, names, sigmas.tolist(), k_stars.tolist()):
-            widths[i, side] = sigma
-            diagnostics[i][f"k_star_{side}"] = k_star
-            diagnostics[i][f"boundary_{side}"] = k_star in (k_lo, k_hi)
+        index, names, side_areas, half_widths, heights = zip(*sides)
+        sigmas, k_stars = sigma_from_area(np.array(side_areas), np.array(half_widths),
+                                          np.array(heights), table)
+        lookups = dict(zip(zip(index, names), zip(sigmas.tolist(), k_stars.tolist())))
+    k_ends = (float(table.k[0]), float(table.k[-1]))
 
-    chosen: dict = {}  # row -> (rho, sigma_hat, status)
-    two_sided = []
-    for i in live:
-        sigma_beta, sigma_alpha = widths.get((i, "beta")), widths.get((i, "alpha"))
-        if sigma_beta is None and sigma_alpha is None:
-            outcomes[i] = DegenerateAreaError(
-                "no usable area on either side of the peak", stage="sigma_from_area")
-        elif sigma_beta is None:
-            diagnostics[i]["fallback"] = "alpha-only"
-            chosen[i] = (1.0, sigma_alpha, DEGENERATE_FALLBACK)
-        elif sigma_alpha is None:
-            diagnostics[i]["fallback"] = "beta-only"
-            chosen[i] = (0.0, sigma_beta, DEGENERATE_FALLBACK)
+    outcomes: list = []
+    templates: list = []  # (sigma_hat, status, diagnostics), None once decided
+    for i, (peak, a, rho) in enumerate(zip(peaks, areas, rhos)):
+        outcome = template = None
+        if peak.amplitude_hat <= 0:
+            outcome = NoPeakError("windowed peak height is non-positive",
+                                  stage="windowed_peak")
         else:
-            two_sided.append(i)
-    if two_sided:
-        rhos = rho_from_samples(_sub_block(block, two_sided), [mu_hat[i] for i in two_sided])
-        for i, rho in zip(two_sided, rhos):
-            if isinstance(rho, GaussFitError):
-                outcomes[i] = DegenerateRhoError(str(rho), stage="rho_from_samples")
-                continue
-            try:
-                sigma_hat = combine_sigma(widths[i, "alpha"], widths[i, "beta"], rho)
-            except GaussFitError as err:
-                outcomes[i] = err
-                continue
-            chosen[i] = (rho, sigma_hat, CONVERGED)
+            diagnostics = {"n_hat": n_hat[i], "s_beta": a.s_beta, "s_alpha": a.s_alpha}
+            widths = {}
+            for side in ("beta", "alpha"):
+                if (i, side) in lookups:
+                    widths[side], k_star = lookups[i, side]
+                    diagnostics[f"k_star_{side}"] = k_star
+                    diagnostics[f"boundary_{side}"] = k_star in k_ends
+            if not widths:
+                outcome = DegenerateAreaError("no usable area on either side of the peak",
+                                              stage="sigma_from_area")
+            elif len(widths) == 1:
+                (side, sigma_hat), = widths.items()
+                diagnostics["fallback"] = f"{side}-only"
+                diagnostics["rho"] = 1.0 if side == "alpha" else 0.0
+                template = (sigma_hat, DEGENERATE_FALLBACK, diagnostics)
+            elif isinstance(rho, GaussFitError):
+                outcome = rho
+            else:
+                diagnostics["rho"] = rho
+                try:
+                    sigma_hat = combine_sigma(widths["alpha"], widths["beta"], rho)
+                    template = (sigma_hat, CONVERGED, diagnostics)
+                except GaussFitError as err:
+                    outcome = err
+        outcomes.append(outcome)
+        templates.append(template)
 
-    templated = sorted(chosen)
-    if not templated:
-        return outcomes
-    amplitudes = refine_amplitude(_sub_block(block, templated),
-                                  [mu_hat[i] for i in templated],
-                                  [chosen[i][1] for i in templated])
-    for i, amplitude in zip(templated, amplitudes):
-        rho, sigma_hat, status = chosen[i]
-        diagnostics[i]["rho"] = rho
+    amplitudes = refine_amplitude(block, mu_hat,
+                                  [math.nan if t is None else t[0] for t in templates])
+    for i, (template, amplitude) in enumerate(zip(templates, amplitudes)):
+        if template is None:
+            continue
+        sigma_hat, status, diagnostics = template
         try:
             if isinstance(amplitude, GaussFitError):
                 raise amplitude
@@ -532,8 +489,7 @@ def m3_initial_fit_block(
             outcomes[i] = err
             continue
         outcomes[i] = FitResult(params=params, coeffs=None, method="M3",
-                                iterations_run=0, status=status,
-                                diagnostics=diagnostics[i])
+                                iterations_run=0, status=status, diagnostics=diagnostics)
     return outcomes
 
 

@@ -7,11 +7,9 @@ from dataclasses import dataclass, field
 from .signal import GaussianParams, LogPolyCoeffs
 
 # Fit statuses.  CONVERGED implies valid parameters; DEGENERATE_FALLBACK
-# marks results produced through a documented fallback path; FAILED is
-# used by reporting layers for trials whose method raised.
+# marks results produced through a documented fallback path.
 CONVERGED = "converged"
 DEGENERATE_FALLBACK = "degenerate-fallback"
-FAILED = "failed-with-error"
 
 
 @dataclass

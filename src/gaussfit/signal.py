@@ -99,9 +99,6 @@ class LogPolyCoeffs:
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.a, self.b, self.c], dtype=np.float64)
-
 
 @dataclass
 class SampledSignal:
@@ -144,9 +141,9 @@ def _grid(x0: float, delta_x: float, n: int) -> np.ndarray:
 class SignalBlock:
     """Rows of samples on one shared grid ``x[n] = x0 + n * delta_x``.
 
-    The unit of the batched estimators in :mod:`gaussfit.initfit`; their
-    scalar forms pass a single signal through :meth:`containing`.  Rows are
-    not validated again: a block comes from checked signals or from
+    What every stage of :mod:`gaussfit.initfit` takes; a stage 1 given a
+    single signal fits the block :meth:`containing` it.  Rows are not
+    validated again: a block comes from checked signals or from
     :func:`sample_gaussian`, which checks its rows.
 
     A block remembers the stage-1 outcomes of its rows (:meth:`once`), so
@@ -374,8 +371,9 @@ def read_two_column_csv(
     1-based file line of each row.
 
     The header is compared case-insensitively, blank lines are skipped
-    and cells convert as ``float`` converts them.  Every failure is a
-    :class:`ParseError` carrying the 1-based line it concerns.
+    and cells convert as ``float`` converts them.  Every failure, a byte
+    that is not UTF-8 included, is a :class:`ParseError` carrying the
+    1-based line it concerns.
 
     Two routes give the same result.  A file in the plain form that
     :func:`write_signal_csv`, ``write_erf_table_csv`` and ``np.savetxt``
@@ -394,7 +392,14 @@ def read_two_column_csv(
     if values is not None and values.size >= 2 * min_rows:
         numbers = range(2, values.size // 2 + 2)
     else:
-        values, numbers = _split_cells(data.decode("utf-8"), names, min_rows)
+        try:
+            text = data.decode("utf-8")
+        except UnicodeDecodeError as err:
+            # the bad byte's line, counted by the line breaks _split_cells knows
+            before = data[:err.start].decode("utf-8") + "?"
+            raise ParseError(f"not UTF-8 text: {err.reason}",
+                             line=len(before.splitlines())) from None
+        values, numbers = _split_cells(text, names, min_rows)
     first, second = values.reshape(-1, 2).T.copy()
     return first, second, numbers
 

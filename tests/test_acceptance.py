@@ -23,6 +23,7 @@ from gaussfit import (
     InitConfig,
     NoiseSpec,
     SampledSignal,
+    SignalBlock,
     build_erf_table,
     crlb_ratio,
     crlb_sigma,
@@ -168,7 +169,7 @@ def test_criterion_2_erf_table_oracle(erf_table):
 
 def test_criterion_3_full_sum_width_bias(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
-    est_m1 = sigma_area_m1(sig, 1.0)
+    est_m1, = sigma_area_m1(SignalBlock.of(sig), [1.0])
     fit_m3 = m3_initial_fit(sig, InitConfig(), erf_table)
     m1_ok = abs(est_m1 - 1.013) <= 0.005
     m3_ok = abs(fit_m3.params.sigma - 1.3) / 1.3 <= 0.005
@@ -238,7 +239,7 @@ def test_criterion_5_rho_agreement_at_40db():
             sig = sample_gaussian(truth, GRID_DX, GRID_N,
                                   NoiseSpec(40.0, seed * 31 + t))
             n_hat = int(round(truth.mu / GRID_DX))
-            rho_hat = rho_from_samples(sig, n_hat * GRID_DX)
+            rho_hat, = rho_from_samples(SignalBlock.of(sig), [n_hat * GRID_DX])
             rho_star = optimal_rho_oracle(truth, GRID_DX, n_hat, GRID_N)
             diffs.append(abs(rho_hat - rho_star))
         means[seed] = float(np.mean(diffs))

@@ -34,7 +34,6 @@ from gaussfit import (
     build_erf_table,
     initfit,
     m3_initial_fit,
-    m3_initial_fit_block,
     methods,
     naive_peak,
     partial_areas,
@@ -196,6 +195,11 @@ def _key(outcome):
             outcome.iterations_run, repr(items), [type(v) for _, v in items])
 
 
+def _keys(outcomes):
+    """Stage outcomes in a comparable form: an error by its key."""
+    return [_key(o) if isinstance(o, GaussFitError) else o for o in outcomes]
+
+
 def _kind(outcome):
     if isinstance(outcome, GaussFitError):
         return type(outcome).__name__
@@ -280,7 +284,7 @@ def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
     for chunk in (1, 3, 8):
         for block, _, _ in _blocks(config, snr_db, chunk, monkeypatch):
             got_m1 = _rows(block, m1, erf_table)
-            got_m3 = m3_initial_fit_block(block, m3.init, erf_table)
+            got_m3 = initfit._m3_initial_fit_block(block, m3.init, erf_table)
             got_m4 = _rows(block, MethodSpec("M4", init=m3.init), erf_table)
             assert [_key(g) for g in got_m4] == [_key(g) for g in got_m3]
             for i in range(len(block)):
@@ -328,46 +332,46 @@ def test_a_new_table_gets_its_own_split_area_fit():
 
 def test_stage_functions_take_a_block(erf_table, monkeypatch):
     """Each stage given a block returns every row's result, equal to the
-    row given alone; a row's error takes its place in the list."""
+    row given as a block of one; a row's error takes its place in the
+    list."""
     config = BenchConfig(trials=8, master_seed=3)
     (block, _, _), = _blocks(config, -3.0, 8, monkeypatch)
     samples = block.samples.copy()
     samples[2] = 0.0  # no positive sample and no weight: no peak, no rho
     block = SignalBlock(delta_x=block.delta_x, samples=samples, x0=1.5)
-    alone = [_alone(block.row(i)) for i in range(len(block))]
-    assert [_key(p) if isinstance(p, GaussFitError) else p for p in naive_peak(block)] == [
-        _key(_outcome(naive_peak, sig)) if i == 2 else naive_peak(sig)
-        for i, sig in enumerate(alone)]
+    alone = [SignalBlock.of(_alone(block.row(i))) for i in range(len(block))]
+    peaks = naive_peak(block)
+    assert _keys(peaks) == _keys([naive_peak(one)[0] for one in alone])
+    assert type(peaks[2]) is NoPeakError
     amplitudes = [0.5 + 0.1 * i for i in range(len(block))]
     assert sigma_area_m1(block, amplitudes) == [
-        sigma_area_m1(sig, a) for sig, a in zip(alone, amplitudes)]
+        sigma_area_m1(one, [a])[0] for one, a in zip(alone, amplitudes)]
     for window_l in (1, 4, 11):
-        assert windowed_peak(block, window_l) == [windowed_peak(sig, window_l)
-                                                  for sig in alone]
+        assert windowed_peak(block, window_l) == [windowed_peak(one, window_l)[0]
+                                                  for one in alone]
     n_hats = [0, 10, 500, 999, 1000, 7, 3, 640]
-    assert partial_areas(block, n_hats) == [partial_areas(sig, n)
-                                            for sig, n in zip(alone, n_hats)]
+    assert partial_areas(block, n_hats) == [partial_areas(one, [n])[0]
+                                            for one, n in zip(alone, n_hats)]
     areas, half_widths = np.array([0.5, 1.0, 2.5]), np.array([1.0, 3.0, 9.0])
     heights = np.array([1.0, 0.7, 1.3])
     sigmas, k_stars = sigma_from_area(areas, half_widths, heights, erf_table)
     assert list(zip(sigmas.tolist(), k_stars.tolist())) == [
-        sigma_from_area(a, h, amp, erf_table)
-        for a, h, amp in zip(areas.tolist(), half_widths.tolist(), heights.tolist())]
+        tuple(v.item() for v in sigma_from_area(areas[i:i + 1], half_widths[i:i + 1],
+                                                heights[i:i + 1], erf_table))
+        for i in range(3)]
     with pytest.raises(DegenerateAreaError):
         sigma_from_area(np.array([1.0, -1.0]), np.array([1.0, 1.0]),
                         np.array([1.0, 1.0]), erf_table)
     mus = [8.0 + 0.1 * i for i in range(len(block))]
     rhos = rho_from_samples(block, mus)
-    assert [_key(r) if isinstance(r, GaussFitError) else r for r in rhos] == [
-        _key(_outcome(rho_from_samples, sig, mu)) if i == 2 else rho_from_samples(sig, mu)
-        for i, (sig, mu) in enumerate(zip(alone, mus))]
+    assert _keys(rhos) == _keys([rho_from_samples(one, [mu])[0]
+                                 for one, mu in zip(alone, mus)])
+    assert type(rhos[2]) is DegenerateRhoError
     widths = [1.0 + 0.05 * i for i in range(len(block))]
     widths[5] = float("nan")
     got = refine_amplitude(block, mus, widths)
-    assert [_key(g) if isinstance(g, GaussFitError) else g for g in got] == [
-        _key(g) if isinstance(g, GaussFitError) else g
-        for g in (_outcome(refine_amplitude, sig, mu, w)
-                  for sig, mu, w in zip(alone, mus, widths))]
+    assert _keys(got) == _keys([refine_amplitude(one, [mu], [w])[0]
+                                for one, mu, w in zip(alone, mus, widths)])
     assert type(got[5]) is InvalidWidthError
 
 
@@ -388,7 +392,7 @@ def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
         no_area, [0.1, 0.5, 1.0, 2.0, 1.0, 0.5, 0.1], no_area[::-1]])))
     kinds = set()
     for block in blocks:
-        for i, got in enumerate(m3_initial_fit_block(block, init, erf_table)):
+        for i, got in enumerate(initfit._m3_initial_fit_block(block, init, erf_table)):
             assert _key(got) == _key(_outcome(_oracle_m3, block.row(i), init, erf_table))
             if isinstance(got, GaussFitError):
                 kinds.add(f"{type(got).__name__}/{got.stage}")
@@ -400,7 +404,7 @@ def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
 
 def test_window_error_fills_every_row(erf_table):
     block = SignalBlock(delta_x=1.0, samples=np.ones((4, 3)))
-    outcomes = m3_initial_fit_block(block, InitConfig(window_l=3), erf_table)
+    outcomes = initfit._m3_initial_fit_block(block, InitConfig(window_l=3), erf_table)
     assert len(outcomes) == 4
     for got in outcomes:
         assert _key(got) == _key(_outcome(_oracle_m3, block.row(0), InitConfig(window_l=3),
@@ -464,8 +468,8 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
         return run_method(spec, signal, table)
 
     monkeypatch.setattr(methods, "_m1_block", counted("M1", methods._m1_block, 1.0))
-    monkeypatch.setattr(initfit, "m3_initial_fit_block",
-                        counted("M3", initfit.m3_initial_fit_block, 10.0))
+    monkeypatch.setattr(initfit, "_m3_initial_fit_block",
+                        counted("M3", initfit._m3_initial_fit_block, 10.0))
     monkeypatch.setattr(bench, "run_method", run)
     config = BenchConfig(trials=13, master_seed=7, snr_start_db=12.0, snr_stop_db=12.0,
                          m5_iters=2, timing=timing)
@@ -506,7 +510,7 @@ def test_block_rows_equal_blocks_of_one(case):
     table = _TABLE
     init = InitConfig(window_l=window_l)
     m1 = _rows(block, MethodSpec("M1"), table)
-    m3 = m3_initial_fit_block(block, init, table)
+    m3 = initfit._m3_initial_fit_block(block, init, table)
     for i in range(len(block)):
         alone = _alone(block.row(i))
         assert _key(m1[i]) == _key(stage_one(MethodSpec("M1"), alone, table))

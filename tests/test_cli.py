@@ -120,6 +120,27 @@ def test_fit_malformed_csv_is_usage_error(tmp_path):
     assert res.returncode == 2
 
 
+def test_fit_input_not_utf8_is_usage_error(tmp_path):
+    bad = tmp_path / "bad.csv"
+    for text in (b"x,y\n0,1\n1,\xff\n2,3\n", b"x,y\r0,1\r1,\xff\r2,3\r"):
+        bad.write_bytes(text)
+        res = _run("fit", "--input", str(bad), "--method", "M1", "--output", "-")
+        assert res.returncode == 2
+        assert "cannot read" in res.stderr
+        assert "(line 3)" in res.stderr
+        assert "Traceback" not in res.stderr
+
+
+def test_fit_erf_table_not_utf8_is_usage_error(noiseless_csv, tmp_path):
+    table = tmp_path / "erf.csv"
+    table.write_bytes(b"k,erf_k_over_sqrt2\n0.1,0.0797\n\xff0.2,0.159\n")
+    res = _run("fit", "--input", str(noiseless_csv), "--method", "M3",
+               "--erf-table", str(table), "--output", "-")
+    assert res.returncode == 2
+    assert "(line 3)" in res.stderr
+    assert "Traceback" not in res.stderr
+
+
 def test_fit_failure_exit_code(tmp_path):
     flat = tmp_path / "flat.csv"
     flat.write_text("x,y\n" + "".join(f"{i * 0.1:.1f},0.0\n" for i in range(10)))
@@ -138,7 +159,7 @@ def test_fit_twice_in_one_process(noiseless_csv, tmp_path):
     """The parser and the default table are built once per process; a
     second call must write the same bytes, and nothing may alter the
     shared table."""
-    from gaussfit import cli
+    from gaussfit import cli, default_erf_table
 
     outs = [tmp_path / "first.json", tmp_path / "second.json"]
     for out in outs:
@@ -146,7 +167,7 @@ def test_fit_twice_in_one_process(noiseless_csv, tmp_path):
                          "--output", str(out)])
         assert code == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
-    table = cli._default_erf_table()
+    table = default_erf_table()
     assert not table.k.flags.writeable
     assert not table.values.flags.writeable
 

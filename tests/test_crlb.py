@@ -11,6 +11,7 @@ from gaussfit import (
     GaussianParams,
     InvalidGridError,
     NoiseSpec,
+    SignalBlock,
     crlb_ratio,
     crlb_sigma,
     optimal_rho_oracle,
@@ -163,7 +164,7 @@ def test_rho_estimate_approaches_oracle_with_snr():
             sig = sample_gaussian(truth, GRID_DX, GRID_N, NoiseSpec(snr_db, seed))
             n_hat = int(round(truth.mu / GRID_DX))
             mu_grid = n_hat * GRID_DX
-            rho_hat = rho_from_samples(sig, mu_grid)
+            rho_hat, = rho_from_samples(SignalBlock.of(sig), [mu_grid])
             rho_star = optimal_rho_oracle(truth, GRID_DX, n_hat, GRID_N)
             diffs.append(abs(rho_hat - rho_star))
         means[snr_db] = float(np.mean(diffs))

@@ -22,6 +22,7 @@ from gaussfit import (
     NoiseSpec,
     ParseError,
     SampledSignal,
+    SignalBlock,
     build_erf_table,
     combine_sigma,
     m3_initial_fit,
@@ -49,11 +50,23 @@ def _noiseless(params=LONG_TAIL):
     return sample_gaussian(params, GRID_DX, GRID_N)
 
 
+def _one(signal):
+    """``signal`` as a block of one row, the form every stage takes."""
+    return SignalBlock.of(signal)
+
+
+def _sigma_from_area(area, half_width, amplitude, table):
+    """``(sigma, k_star)`` of a single side."""
+    sigma, k_star = sigma_from_area(np.array([area]), np.array([half_width]),
+                                    np.array([amplitude]), table)
+    return float(sigma[0]), float(k_star[0])
+
+
 # ---------------------------------------------------------------- peaks
 
 
 def test_naive_peak_noiseless():
-    peak = naive_peak(_noiseless())
+    peak, = naive_peak(_one(_noiseless()))
     assert peak.n_hat == 900
     assert peak.amplitude_hat == 1.0
     assert peak.mu_hat == pytest.approx(9.0, abs=1e-12)
@@ -61,36 +74,35 @@ def test_naive_peak_noiseless():
 
 def test_naive_peak_tie_breaks_low():
     sig = SampledSignal(delta_x=1.0, samples=[0.0, 0.0, 0.0, 0.0, 0.0, 3.0, 1.0, 3.0])
-    assert naive_peak(sig).n_hat == 5
+    assert naive_peak(_one(sig))[0].n_hat == 5
 
 
 def test_naive_peak_requires_positive_sample():
-    with pytest.raises(NoPeakError):
-        naive_peak(SampledSignal(delta_x=1.0, samples=[-1.0, -0.5, -2.0]))
-    with pytest.raises(NoPeakError):
-        naive_peak(SampledSignal(delta_x=1.0, samples=[0.0, 0.0, 0.0]))
+    for samples in ([-1.0, -0.5, -2.0], [0.0, 0.0, 0.0]):
+        peak, = naive_peak(_one(SampledSignal(delta_x=1.0, samples=samples)))
+        assert isinstance(peak, NoPeakError)
 
 
 def test_windowed_peak_noiseless():
-    peak = windowed_peak(_noiseless(), 3)
+    peak, = windowed_peak(_one(_noiseless()), 3)
     assert peak.mu_hat == pytest.approx(9.0, abs=1e-12)
     assert peak.amplitude_hat == 1.0
 
 
 def test_windowed_peak_unit_window_degenerates_to_naive():
     sig = sample_gaussian(LONG_TAIL, GRID_DX, 400, NoiseSpec(10.0, 4))
-    np_est = naive_peak(sig)
-    w_est = windowed_peak(sig, 1)
+    np_est, = naive_peak(_one(sig))
+    w_est, = windowed_peak(_one(sig), 1)
     assert (w_est.n_hat, w_est.mu_hat, w_est.amplitude_hat) == (
         np_est.n_hat, np_est.mu_hat, np_est.amplitude_hat)
 
 
 def test_windowed_peak_window_bounds():
-    sig = _noiseless()
+    block = _one(_noiseless())
     with pytest.raises(InvalidWindowError):
-        windowed_peak(sig, GRID_N)
+        windowed_peak(block, GRID_N)
     with pytest.raises(InvalidWindowError):
-        windowed_peak(sig, 0)
+        windowed_peak(block, 0)
 
 
 # ------------------------------------------------------ full-sum width
@@ -98,14 +110,14 @@ def test_windowed_peak_window_bounds():
 
 def test_sigma_area_m1_complete_sampling():
     sig = _noiseless(GaussianParams(1.0, 5.0, 1.0))
-    assert sigma_area_m1(sig, 1.0) == pytest.approx(1.0, rel=0.01)
+    assert sigma_area_m1(_one(sig), [1.0])[0] == pytest.approx(1.0, rel=0.01)
 
 
 def test_sigma_area_m1_long_tail_underestimates():
     """Cut the bell off mid-tail and the full-sum width comes out near
     1.013 although the true width is 1.3; finer spacing cannot fix it."""
     sig = _noiseless()
-    est = sigma_area_m1(sig, 1.0)
+    est, = sigma_area_m1(_one(sig), [1.0])
     brute = sum(float(v) for v in sig.samples) * GRID_DX / SQ2PI
     assert est == pytest.approx(brute, rel=1e-12)
     assert abs(est - 1.013) < 0.005
@@ -118,11 +130,11 @@ def test_sigma_area_m1_long_tail_underestimates():
 
 
 def test_sigma_area_m1_rejects_bad_amplitude():
-    sig = _noiseless()
+    block = _one(_noiseless())
     with pytest.raises(InvalidAmplitudeError):
-        sigma_area_m1(sig, 0.0)
+        sigma_area_m1(block, [0.0])
     with pytest.raises(InvalidAmplitudeError):
-        sigma_area_m1(sig, -2.0)
+        sigma_area_m1(block, [-2.0])
 
 
 # --------------------------------------------------------- split areas
@@ -130,7 +142,7 @@ def test_sigma_area_m1_rejects_bad_amplitude():
 
 def test_partial_areas_long_tail_values():
     sig = _noiseless()
-    areas = partial_areas(sig, 900)
+    areas, = partial_areas(_one(sig), [900])
     brute_beta = sum(float(v) for v in sig.samples[:900]) * GRID_DX
     brute_alpha = sum(float(v) for v in sig.samples[900:]) * GRID_DX
     assert areas.s_beta == pytest.approx(brute_beta, rel=1e-12)
@@ -144,7 +156,7 @@ def test_partial_areas_long_tail_values():
 
 def test_partial_areas_empty_left_side():
     sig = _noiseless()
-    areas = partial_areas(sig, 0)
+    areas, = partial_areas(_one(sig), [0])
     assert areas.s_beta == 0.0
     assert areas.s_alpha == pytest.approx(GRID_DX * float(np.sum(sig.samples)), rel=1e-12)
 
@@ -156,14 +168,14 @@ def test_partial_areas_partition_identity():
         sig = SampledSignal(delta_x=float(rngs.uniform(0.01, 1.0)),
                             samples=rngs.normal(0.0, 2.0, n))
         split = int(rngs.integers(0, n))
-        areas = partial_areas(sig, split)
+        areas, = partial_areas(_one(sig), [split])
         total = sig.delta_x * float(np.sum(sig.samples))
         assert areas.s_beta + areas.s_alpha == pytest.approx(total, rel=1e-12, abs=1e-12)
 
 
 def test_partial_areas_index_bounds():
     with pytest.raises(InvalidGridError):
-        partial_areas(_noiseless(), GRID_N)
+        partial_areas(_one(_noiseless()), [GRID_N])
 
 
 # ----------------------------------------------------------- erf table
@@ -244,7 +256,7 @@ def test_erf_table_csv_errors(tmp_path):
 
 
 def test_sigma_from_area_left_side_case(erf_table):
-    sigma, k_star = sigma_from_area(1.6293, 9.0, 1.0, erf_table)
+    sigma, k_star = _sigma_from_area(1.6293, 9.0, 1.0, erf_table)
     assert k_star == pytest.approx(6.92, abs=1e-9)
     assert sigma == pytest.approx(9.0 / 6.92, rel=1e-9)
     assert sigma == pytest.approx(1.3006, abs=5e-4)
@@ -253,7 +265,7 @@ def test_sigma_from_area_left_side_case(erf_table):
 def test_sigma_from_area_scan_is_global(erf_table):
     """Re-scan the objective by brute force; the search must agree."""
     area, half_w, amp = 0.9182668901670858, 1.01, 1.0
-    sigma, k_star = sigma_from_area(area, half_w, amp, erf_table)
+    sigma, k_star = _sigma_from_area(area, half_w, amp, erf_table)
     best = None
     for kj, vj in zip(erf_table.k, erf_table.values):
         pred = SQ2PI * amp * half_w / (2.0 * float(kj)) * float(vj)
@@ -269,19 +281,19 @@ def test_sigma_from_area_saturated_regime(erf_table):
     # so the estimate reduces to 2 S / (sqrt(2 pi) A) within grid rounding
     sigma_true = 1.0
     area = SQ2PI * sigma_true / 2.0
-    sigma, k_star = sigma_from_area(area, 8.0, 1.0, erf_table)
+    sigma, k_star = _sigma_from_area(area, 8.0, 1.0, erf_table)
     assert sigma == pytest.approx(2.0 * area / SQ2PI, abs=2e-3)
 
 
 def test_sigma_from_area_degenerate_inputs(erf_table):
     with pytest.raises(DegenerateAreaError):
-        sigma_from_area(0.0, 9.0, 1.0, erf_table)
+        _sigma_from_area(0.0, 9.0, 1.0, erf_table)
     with pytest.raises(DegenerateAreaError):
-        sigma_from_area(-1.0, 9.0, 1.0, erf_table)
+        _sigma_from_area(-1.0, 9.0, 1.0, erf_table)
     with pytest.raises(DegenerateAreaError):
-        sigma_from_area(1.0, 0.0, 1.0, erf_table)
+        _sigma_from_area(1.0, 0.0, 1.0, erf_table)
     with pytest.raises(InvalidAmplitudeError):
-        sigma_from_area(1.0, 9.0, 0.0, erf_table)
+        _sigma_from_area(1.0, 9.0, 0.0, erf_table)
 
 
 # ------------------------------------------------- combination weight
@@ -289,12 +301,12 @@ def test_sigma_from_area_degenerate_inputs(erf_table):
 
 def test_rho_symmetric_complete_sampling():
     sig = _noiseless(GaussianParams(1.0, 5.0, 1.0))
-    assert rho_from_samples(sig, 5.0) == pytest.approx(0.5, abs=1e-3)
+    assert rho_from_samples(_one(sig), [5.0])[0] == pytest.approx(0.5, abs=1e-3)
 
 
 def test_rho_long_tail_prefers_left_side():
     sig = _noiseless()
-    rho = rho_from_samples(sig, 9.0)
+    rho, = rho_from_samples(_one(sig), [9.0])
     assert 0.0 < rho < 0.5
     # brute-force recomputation with plain Python sums
     num = den = 0.0
@@ -307,8 +319,8 @@ def test_rho_long_tail_prefers_left_side():
 
 
 def test_rho_zero_signal_degenerate():
-    with pytest.raises(DegenerateRhoError):
-        rho_from_samples(SampledSignal(delta_x=1.0, samples=[0.0, 0.0, 0.0]), 1.0)
+    rho, = rho_from_samples(_one(SampledSignal(delta_x=1.0, samples=[0.0, 0.0, 0.0])), [1.0])
+    assert isinstance(rho, DegenerateRhoError)
 
 
 def test_rho_always_clipped():
@@ -316,9 +328,8 @@ def test_rho_always_clipped():
     for _ in range(50):
         n = int(rngs.integers(3, 200))
         sig = SampledSignal(delta_x=0.1, samples=rngs.normal(0, 1, n))
-        try:
-            rho = rho_from_samples(sig, float(rngs.uniform(-5, 25)))
-        except DegenerateRhoError:
+        rho, = rho_from_samples(_one(sig), [float(rngs.uniform(-5, 25))])
+        if isinstance(rho, DegenerateRhoError):
             continue
         assert 0.0 <= rho <= 1.0
 
@@ -338,14 +349,14 @@ def test_combine_sigma_endpoints_and_fixed_point():
 
 def test_refine_amplitude_exact_for_true_template():
     sig = _noiseless()
-    assert refine_amplitude(sig, 9.0, 1.3) == pytest.approx(1.0, rel=1e-12)
+    assert refine_amplitude(_one(sig), [9.0], [1.3])[0] == pytest.approx(1.0, rel=1e-12)
 
 
 def test_refine_amplitude_linear_in_samples():
     sig = _noiseless()
     doubled = SampledSignal(delta_x=GRID_DX, samples=2.0 * sig.samples)
-    one = refine_amplitude(sig, 9.0, 1.25)
-    two = refine_amplitude(doubled, 9.0, 1.25)
+    one, = refine_amplitude(_one(sig), [9.0], [1.25])
+    two, = refine_amplitude(_one(doubled), [9.0], [1.25])
     assert two == pytest.approx(2.0 * one, rel=1e-12)
 
 
@@ -353,7 +364,7 @@ def test_refine_amplitude_matches_scalar_minimizer():
     """Independent oracle: golden-section search on the residual."""
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(10.0, 63))
     mu_hat, sigma_hat = 8.97, 1.21
-    a_direct = refine_amplitude(sig, mu_hat, sigma_hat)
+    a_direct, = refine_amplitude(_one(sig), [mu_hat], [sigma_hat])
 
     x = sig.grid
     g = np.exp(-((x - mu_hat) ** 2) / (2.0 * sigma_hat**2))
@@ -378,7 +389,7 @@ def test_refine_amplitude_matches_scalar_minimizer():
 
 def test_refine_amplitude_local_optimality():
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(14.0, 2))
-    a_star = refine_amplitude(sig, 9.0, 1.3)
+    a_star, = refine_amplitude(_one(sig), [9.0], [1.3])
     x = sig.grid
     g = np.exp(-((x - 9.0) ** 2) / (2.0 * 1.3**2))
 
@@ -391,8 +402,8 @@ def test_refine_amplitude_local_optimality():
 
 
 def test_refine_amplitude_rejects_bad_width():
-    with pytest.raises(GaussFitError):
-        refine_amplitude(_noiseless(), 9.0, 0.0)
+    amplitude, = refine_amplitude(_one(_noiseless()), [9.0], [0.0])
+    assert isinstance(amplitude, GaussFitError)
 
 
 # ------------------------------------------------------- full pipeline

@@ -102,7 +102,7 @@ def test_two_stage_zero_iterations_rejected(erf_table):
 def test_m2_m4_match_manual_two_stage(erf_table):
     """The dispatcher is exactly stage-1 init plus the shared solver."""
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(12.0, 7777))
-    from gaussfit import m3_initial_fit, naive_peak, sigma_area_m1
+    from gaussfit import SignalBlock, m3_initial_fit, naive_peak, sigma_area_m1
     from gaussfit.initfit import InitConfig
 
     m4 = run_method(MethodSpec("M4"), sig, erf_table)
@@ -111,9 +111,10 @@ def test_m2_m4_match_manual_two_stage(erf_table):
     assert m4.params == manual.params
 
     m2 = run_method(MethodSpec("M2"), sig, erf_table)
-    peak = naive_peak(sig)
+    block = SignalBlock.of(sig)
+    peak, = naive_peak(block)
     m1_params = GaussianParams(
-        peak.amplitude_hat, peak.mu_hat, sigma_area_m1(sig, peak.amplitude_hat))
+        peak.amplitude_hat, peak.mu_hat, sigma_area_m1(block, [peak.amplitude_hat])[0])
     manual2 = _iterate_from(m1_params, sig, 2)[-1]
     assert m2.params == manual2.params
 
