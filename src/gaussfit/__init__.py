@@ -55,10 +55,11 @@ from .initfit import (
     windowed_peak,
     write_erf_table_csv,
 )
-from .linfit import weighted_ls_solve, weights_from_params, wls_trace
+from .linfit import weighted_ls_solve, weights_from_params, wls_trace, wls_traces
 from .methods import (
     METHOD_IDS,
     MethodSpec,
+    fit_block,
     run_method,
     stage_one,
     start_weights,

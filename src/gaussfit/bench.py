@@ -17,16 +17,22 @@ parallel worker processes without changing any reported value (timing
 measurements excepted, which is why they are off by default).
 
 Trials run in chunks of ``_CHUNK``: a chunk's truths and noise are drawn
-as one :class:`gaussfit.signal.SignalBlock`, and every method then runs
-on the block's rows one trial at a time through
-:func:`gaussfit.methods.run_method`.  Stage 1 runs once over the block,
-when the first row asks (:func:`gaussfit.methods.stage_one`; M1 for M1
-and M2, the split-area fit for M3 and M4 when their ``init`` is equal).
-Every row equals the trial computed alone, so the reports do not depend
-on the chunk size.  With ``timing`` on, stage 1 is run and timed ahead of
-the chunk's trials, and a method is charged its own per-row time plus its
-per-row share of every batched stage it uses, so M4's mean time still
-includes the split-area initializer.
+as one :class:`gaussfit.signal.SignalBlock`, and every method then fits
+the whole chunk.  M1 and M3 run on its rows one trial at a time through
+:func:`gaussfit.methods.run_method`; M2, M4 and M5 fit it with one
+:func:`gaussfit.methods.fit_block` call (one
+:func:`gaussfit.methods.trace_block` with
+``max(iter_sweep)`` steps in the iteration sweep), so the reweighting of
+all its rows is one :func:`gaussfit.linfit.wls_traces` kernel call.
+Stage 1 runs once over the block, when the first row asks
+(:func:`gaussfit.methods.stage_one`; M1 for M1 and M2, the split-area
+fit for M3 and M4 when their ``init`` is equal).  Every row equals the
+trial computed alone, so the reports do not depend on the chunk size.
+With ``timing`` on, stage 1 is run and timed ahead of the chunk's
+trials, a block call's time is shared equally by its rows, and a method
+is charged its own per-row time plus its per-row share of every batched
+stage it uses, so M4's mean time still includes the split-area
+initializer.
 
 Accounting: a trial whose method returns a fallback-flagged result still
 contributes its estimate to the MSE and bumps the degenerate counter; a
@@ -44,8 +50,7 @@ import numpy as np
 from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, default_erf_table
-from .linfit import wls_trace
-from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, start_weights
+from .methods import METHOD_IDS, MethodSpec, fit_block, run_method, stage_one, trace_block
 from .results import CONVERGED
 from .signal import GaussianParams, NoiseSpec, sample_gaussian
 
@@ -65,8 +70,9 @@ PARAM_NAMES = ("A", "mu", "sigma")
 _PARAMS_TAG = 0x50415241
 _NOISE_TAG = 0x4E4F4953
 
-# Trials per synthesis and stage-1 block: enough to spread numpy's per-call
-# cost, small enough that the block arrays stay a fraction of a MiB.
+# Trials per synthesis, stage-1 and reweighting block: enough to spread
+# numpy's per-call cost, small enough that the block arrays stay a fraction
+# of a MiB.
 _CHUNK = 8
 
 
@@ -216,21 +222,18 @@ def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
         yield block, truths, seeds
 
 
-def _trials(config: BenchConfig, sweep_idx: int, snr_db: float,
+def _chunks(config: BenchConfig, sweep_idx: int, snr_db: float,
             specs: list[MethodSpec], table: ErfTable):
-    """Yield ``(trial index, seed, truth, signal, shares)`` for every trial,
-    a chunk at a time.  ``signal`` is a row of the chunk's block, so stage
-    1 runs once per chunk; ``shares`` holds, per spec, the per-row seconds
-    of the batched stage 1 it uses (0 without ``timing``)."""
+    """Yield ``(first trial index, block, truths, seeds, shares)`` for each
+    chunk; ``shares`` holds, per spec, the per-row seconds of the batched
+    stage 1 it uses (0 without ``timing``)."""
     first = 0
     for block, truths, seeds in _trial_blocks(config, sweep_idx, snr_db):
-        rows = [block.row(i) for i in range(len(block))]
         shares = [0.0] * len(specs)
         if config.timing:
-            shares = _stage_one_shares(specs, rows[0], table, len(rows))
-        for i, (seed, truth, signal) in enumerate(zip(seeds, truths, rows)):
-            yield first + i, seed, truth, signal, shares
-        first += len(rows)
+            shares = _stage_one_shares(specs, block.row(0), table, len(block))
+        yield first, block, truths, seeds, shares
+        first += len(block)
 
 
 def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
@@ -249,6 +252,36 @@ def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
             measured[key] = (time.perf_counter() - t0) / rows
         shares.append(measured[key])
     return shares
+
+
+def _timed(call, rows: int, timing: bool):
+    """``call()`` and, with ``timing``, its seconds per row (else 0)."""
+    if not timing:
+        return call(), 0.0
+    t0 = time.perf_counter()
+    result = call()
+    return result, (time.perf_counter() - t0) / rows
+
+
+def _estimate(fit) -> tuple[GaussianParams | None, bool]:
+    """A fit's estimate and whether it converged; an error has neither."""
+    if isinstance(fit, GaussFitError):
+        return None, False
+    return fit.params, fit.status == CONVERGED
+
+
+def _run_rows(spec: MethodSpec, block, table: ErfTable, timing: bool) -> list:
+    """``(outcome, seconds)`` of M1 or M3 on each row of ``block``, one
+    :func:`run_method` call per row: its result or the error it raised."""
+    outcomes = []
+    for i in range(len(block)):
+        t0 = time.perf_counter() if timing else 0.0
+        try:
+            fit = run_method(spec, block.row(i), table)
+        except GaussFitError as err:
+            fit = err
+        outcomes.append((fit, time.perf_counter() - t0 if timing else 0.0))
+    return outcomes
 
 
 class _CellAccumulator:
@@ -284,19 +317,23 @@ def _snr_point(config: BenchConfig, table: ErfTable, sweep_idx: int):
     specs = [config.method_spec(mid) for mid in config.methods]
     cells = {mid: _CellAccumulator(config.trials) for mid in config.methods}
     seeds = []
-    for t, seed, truth, signal, shares in _trials(config, sweep_idx, snr_db, specs, table):
-        seeds.append(seed)
+    for first, block, truths, chunk_seeds, shares in _chunks(config, sweep_idx, snr_db,
+                                                             specs, table):
+        seeds.extend(chunk_seeds)
         for spec, share in zip(specs, shares):
             cell = cells[spec.method_id]
-            t0 = time.perf_counter() if config.timing else 0.0
-            try:
-                fit = run_method(spec, signal, table)
-                estimate, converged = fit.params, fit.status == CONVERGED
-            except GaussFitError:
-                estimate, converged = None, False
-            if config.timing:
-                cell.elapsed_s += time.perf_counter() - t0 + share
-            cell.record(t, estimate, truth, converged)
+            if spec.method_id in ("M1", "M3"):
+                outcomes = _run_rows(spec, block, table, config.timing)
+            else:
+                fits, dt = _timed(lambda: fit_block(spec, block, table), len(block),
+                                  config.timing)
+                outcomes = [(fit, dt) for fit in fits]
+            for t, truth, (fit, dt) in zip(range(first, first + len(block)), truths,
+                                           outcomes):
+                estimate, converged = _estimate(fit)
+                cell.record(t, estimate, truth, converged)
+                if config.timing:
+                    cell.elapsed_s += dt + share
     return sweep_idx, cells, seeds
 
 
@@ -373,36 +410,39 @@ def _iters_point(config: BenchConfig, table: ErfTable):
         for mid in config.methods
     }
     seeds = []
-    for t, seed, truth, signal, shares in _trials(config, 0, snr_db, specs, table):
-        seeds.append(seed)
+    for first, block, truths, chunk_seeds, shares in _chunks(config, 0, snr_db, specs,
+                                                             table):
+        seeds.extend(chunk_seeds)
         for spec, share in zip(specs, shares):
             mid = spec.method_id
-            t0 = time.perf_counter() if config.timing else 0.0
-            try:
-                if mid in ("M1", "M3"):
-                    # no iterative stage: constant across the sweep
-                    fit = run_method(spec, signal, table)
-                    outcomes = [(fit.params, fit.status == CONVERGED)] * len(sweep)
-                else:
-                    stage1 = stage_one(spec, signal, table)
-                    w0, status, _ = start_weights(spec, signal, stage1)
-                    try:
-                        trace = wls_trace(signal, w0, max_iters, spec.clamp_floor)
-                    except SingularSystemError as err:
-                        trace = err.completed  # points before the failing step stand
-                    steps = [trace[k - 1].params if k <= len(trace) else None
-                             for k in sweep]
-                    outcomes = [(p, status == CONVERGED and p is not None)
-                                for p in steps]
-            except GaussFitError:
-                outcomes = [(None, False)] * len(sweep)
-            for k, (estimate, converged) in zip(sweep, outcomes):
-                cells[mid][k].record(t, estimate, truth, converged)
-            if config.timing:
-                dt = time.perf_counter() - t0 + share
-                for k in sweep:
-                    cells[mid][k].elapsed_s += dt
+            if mid in ("M1", "M3"):
+                # no iterative stage: constant across the sweep
+                rows = [([_estimate(fit)] * len(sweep), dt)
+                        for fit, dt in _run_rows(spec, block, table, config.timing)]
+            else:
+                traces, dt = _timed(lambda: trace_block(spec, block, table, max_iters),
+                                    len(block), config.timing)
+                rows = [(_sweep_points(trace, status, sweep), dt)
+                        for trace, status, _ in traces]
+            for t, truth, (outcomes, dt) in zip(range(first, first + len(block)), truths,
+                                                rows):
+                for k, (estimate, converged) in zip(sweep, outcomes):
+                    cells[mid][k].record(t, estimate, truth, converged)
+                if config.timing:
+                    for k in sweep:
+                        cells[mid][k].elapsed_s += dt + share
     return cells, seeds
+
+
+def _sweep_points(trace, status, sweep) -> list:
+    """``(estimate, converged)`` at each sweep point of one trial's trace
+    (or of the error that ended it)."""
+    if isinstance(trace, SingularSystemError):
+        trace = trace.completed  # points before the failing step stand
+    elif isinstance(trace, GaussFitError):
+        return [(None, False)] * len(sweep)
+    steps = [trace[k - 1].params if k <= len(trace) else None for k in sweep]
+    return [(p, status == CONVERGED and p is not None) for p in steps]
 
 
 def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> BenchReport:

@@ -192,8 +192,9 @@ def sigma_area_m1(block: SignalBlock, amplitude_hat: list) -> list:
     for a in amplitude_hat:
         _check_amplitude(a)
     dx = block.delta_x
-    return [total * dx / (a * _SQRT_2PI)
-            for total, a in zip(block.samples.sum(axis=1).tolist(), amplitude_hat)]
+    with np.errstate(over="ignore"):  # a sum that overflows gives no width
+        totals = block.samples.sum(axis=1).tolist()
+    return [total * dx / (a * _SQRT_2PI) for total, a in zip(totals, amplitude_hat)]
 
 
 def windowed_peak(block: SignalBlock, window_l: int) -> list:
@@ -272,10 +273,12 @@ def sigma_from_area(area: np.ndarray, half_width: np.ndarray,
         if problem is not None:
             raise DegenerateAreaError(problem)
     k = table.k
-    objective = np.divide.outer(_SQRT_2PI * amplitude_hat * half_width, 2.0 * k)
-    objective *= table.values  # the predicted areas
-    np.subtract(area[:, None], objective, out=objective)
-    np.square(objective, out=objective)
+    # huge areas overflow the mismatch to inf, which argmin handles
+    with np.errstate(over="ignore", invalid="ignore"):
+        objective = np.divide.outer(_SQRT_2PI * amplitude_hat * half_width, 2.0 * k)
+        objective *= table.values  # the predicted areas
+        np.subtract(area[:, None], objective, out=objective)
+        np.square(objective, out=objective)
     k_star = k[objective.argmin(axis=1)]
     return half_width / k_star, k_star
 
@@ -351,19 +354,21 @@ def refine_amplitude(block: SignalBlock, mu_hat: list, sigma_hat: list) -> list:
     if len(good) < len(block):
         block = SignalBlock(block.delta_x, block.samples[good], block.x0)
         mu_hat, sigma_hat = [mu_hat[i] for i in good], [sigma_hat[i] for i in good]
-    z = block.grid - np.array(mu_hat, dtype=np.float64)[:, None]
-    z /= np.array(sigma_hat, dtype=np.float64)[:, None]
-    g = -0.5 * z
-    g *= z
-    del z
-    with np.errstate(under="ignore"):
+    # extreme grids or samples overflow the template or its dot products;
+    # the checks below turn that into a typed error or a non-finite amplitude
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        z = block.grid - np.array(mu_hat, dtype=np.float64)[:, None]
+        z /= np.array(sigma_hat, dtype=np.float64)[:, None]
+        g = -0.5 * z
+        g *= z
+        del z
         np.exp(g, out=g)
-    for i, gi, yi in zip(good, g, block.samples):
-        gg = float(np.dot(gi, gi))
-        if not math.isfinite(gg) or gg <= 0:
-            out[i] = DegenerateAreaError("amplitude template vanishes on the grid")
-        else:
-            out[i] = float(np.dot(gi, yi)) / gg
+        for i, gi, yi in zip(good, g, block.samples):
+            gg = float(np.dot(gi, gi))
+            if not math.isfinite(gg) or gg <= 0:
+                out[i] = DegenerateAreaError("amplitude template vanishes on the grid")
+            else:
+                out[i] = float(np.dot(gi, yi)) / gg
     return out
 
 

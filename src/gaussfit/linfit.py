@@ -7,32 +7,42 @@ Gaussian reconstructed from the previous iterate.  Row weights enter the
 design matrix and the observation vector alike, hence the ``w^2`` in the
 objective.
 
-Two entry points: :func:`weighted_ls_solve` is one solve (plain least
-squares is ``params_from_coeffs(weighted_ls_solve(signal, np.ones(n),
-floor))``), and :func:`wls_trace` runs the iteration and returns every
-iterate.
+One kernel, :func:`wls_traces`, runs the reweighting iteration on every
+row of a :class:`gaussfit.signal.SignalBlock` at once and returns one
+entry per row: the row's trace, or the error that ended it.
+:func:`wls_trace` is the kernel on a block of one, and
+:func:`weighted_ls_solve` is its first iteration (plain least squares is
+``params_from_coeffs(weighted_ls_solve(signal, np.ones(n), floor))``).
 
 Only a 3x3 system ever arises.  The normal equations are formed on the
 grid centered at its midpoint, ``t = x - m``, which tames the
-Vandermonde-style conditioning.  With ``u = (w / max w)^2`` the matrix
-holds the five moments ``sum u t^k`` (``k = 0..4``) and the right side
-the three sums ``sum u t^k ln y`` (``k = 0..2``).  A trace computes ``t``
-once and reuses one ``(5, n)`` buffer: each step fills its rows with the
-product chain ``u, u t, u t^2, u t^3, u t^4``, reduces them with one row
-sum, takes three dot products for the right side, and solves by an
-unrolled elimination with partial pivoting.  These are the operations of
-the plain formulation (separate sums and dot products, a loop over
-lists for the elimination) in the same order, so the results are
-bit-identical to it; ``tests/test_linfit.py`` keeps it as the oracle.
+Vandermonde-style conditioning; the rows of a block share it.  With
+``u = (w / max w)^2`` the matrix holds the five moments ``sum u t^k``
+(``k = 0..4``) and the right side the three sums ``sum u t^k ln y``
+(``k = 0..2``).  A step fills a ``(5, rows, n)`` moment buffer with the
+product chain ``u, u t, u t^2, u t^3, u t^4``, one ufunc call per link
+for all rows, reduces it with one ``np.add.reduce`` over the samples,
+takes the right sides from one ``np.vecdot`` of the first three links
+with the log samples, and solves each row by an unrolled elimination
+with partial pivoting.  These are the operations of the plain
+formulation (separate sums and dot products, a loop over lists for the
+elimination) in the same order: a row's sums are the pairwise sums
+``np.sum`` makes, ``np.vecdot`` calls the BLAS ``ddot`` that ``np.dot``
+calls, and an elementwise ufunc gives each element the value it has
+alone.  So every row is bit-identical to the plain formulation on its
+own; ``tests/test_linfit.py`` keeps it as the oracle.  (``np.einsum`` and
+a ``matmul`` sum in another order and are not.)
 
 Most of a step's time is the fixed cost of its numpy calls, not their
-per-element work: a 12-step trace takes a median 26 us per step on 5
-samples and 39 us on 1001 (2-vCPU shared VM, Python 3.11.7, numpy
-2.4.6).  So a step allocates nothing.  The rebuilt weights and their
-exponent go into two buffers made once per trace, ufunc outputs are
-passed positionally, reductions call ``np.add.reduce`` and
-``np.maximum.reduce`` directly, and the non-finite scrub of rebuilt
-weights runs only when their maximum is not finite.
+per-element work, and a block shares those calls among its rows: eight
+1001-sample rows take one step in about the time of two single-row steps.
+A call allocates its buffers once, ufunc outputs are passed positionally,
+reductions call ``np.add.reduce`` and ``np.maximum.reduce`` directly, the
+non-finite scrub of a row's rebuilt weights runs only when their maximum
+is not finite, and ``np.count_nonzero`` runs on a row only when its
+``sum u`` is at most 2 (every ``u <= 1``, so a larger sum has at least
+three positive weights).  A row whose step raises leaves the block; the
+other rows go on.
 """
 
 from __future__ import annotations
@@ -52,12 +62,12 @@ from .results import WlsStep, WlsTrace
 from .signal import (
     LogPolyCoeffs,
     SampledSignal,
-    log_transform,
+    SignalBlock,
     params_from_coeffs,
     resolve_clamp_floor,
 )
 
-__all__ = ["weighted_ls_solve", "weights_from_params", "wls_trace"]
+__all__ = ["weighted_ls_solve", "weights_from_params", "wls_trace", "wls_traces"]
 
 # Pivot threshold relative to the largest normal-matrix entry.
 _PIVOT_RTOL = 100.0 * np.finfo(np.float64).eps
@@ -112,77 +122,189 @@ def _solve_normal(s0: float, s1: float, s2: float, s3: float, s4: float,
     return c0, c1, c2
 
 
-def _validated_weights(weights, n: int) -> tuple[np.ndarray, float]:
-    """The weights as a float64 array, and their maximum."""
-    w = np.asarray(weights, dtype=np.float64)
-    if w.shape != (n,):
-        raise ShapeError(f"weights shape {w.shape} does not match {n} samples")
-    # a NaN anywhere makes both extremes NaN
-    lo, hi = float(np.minimum.reduce(w)), float(np.maximum.reduce(w))
-    if not (math.isfinite(lo) and math.isfinite(hi)):
-        raise GaussFitError("weights must be finite")
-    if lo < 0:
-        raise GaussFitError("weights must be non-negative")
-    return w, hi
-
-
-def _normal_solve(w: np.ndarray, w_max: float, logs: np.ndarray, t: np.ndarray,
-                  mid, moments: tuple) -> LogPolyCoeffs:
-    """One weighted solve on the centered grid ``t = x - mid``.
-
-    ``w`` must be finite and non-negative, with maximum ``w_max``.
-    ``moments`` is a ``(5, n)`` scratch buffer followed by its five rows.
-    The rows receive ``u * t**k`` for ``k = 0..4`` with
-    ``u = (w / w_max)**2``, built as a product chain, and one row
-    reduction gives the five distinct normal-matrix entries.  Outputs are
-    passed positionally: numpy parses an ``out=`` keyword more slowly.
-    """
-    if np.count_nonzero(w) < 3:
-        raise SingularSystemError("fewer than 3 samples carry positive weight")
-    rows, u, ut, ut2, ut3, ut4 = moments
-    np.divide(w, w_max, u)  # uniform scaling cancels in the solve
-    np.multiply(u, u, u)
-    np.multiply(u, t, ut)
-    np.multiply(ut, t, ut2)
-    np.multiply(ut2, t, ut3)
-    np.multiply(ut3, t, ut4)
-    s0, s1, s2, s3, s4 = np.add.reduce(rows, 1).tolist()
-    ac, bc, cc = _solve_normal(s0, s1, s2, s3, s4, float(np.dot(u, logs)),
-                               float(np.dot(ut, logs)), float(np.dot(ut2, logs)))
-    # undo the centering: a + b(x - m) + c(x - m)^2 back to powers of x
-    return LogPolyCoeffs(
-        a=ac - bc * mid + cc * mid * mid,
-        b=bc - 2.0 * cc * mid,
-        c=cc,
-    )
-
-
-def _prepared(signal: SampledSignal, weights, clamp_floor: float | None):
-    """Validated weights and their maximum, clamped log samples, the grid,
-    its midpoint, the centered grid and the moment buffer with its rows:
-    everything one trace reuses."""
-    w, w_max = _validated_weights(weights, len(signal))
-    logs = log_transform(signal, resolve_clamp_floor(signal, clamp_floor))
-    x = signal.grid
-    mid = 0.5 * (x[0] + x[-1])
-    rows = np.empty((5, x.size))
-    return w, w_max, logs, x, mid, x - mid, (rows, *rows)
-
-
-def _gaussian_values(coeffs: LogPolyCoeffs, x: np.ndarray, expo: np.ndarray,
+def _gaussian_values(coeffs: np.ndarray, x: np.ndarray, scratch: np.ndarray,
                      out: np.ndarray) -> np.ndarray:
-    """``exp(a + b x + c x^2)`` into ``out``, with ``expo`` for the exponent.
+    """``exp(a + b x + c x^2)`` into ``out``, one row per row ``(a, b, c)``
+    of ``coeffs``, with ``scratch`` of shape ``(2, *out.shape)``.
 
-    The operations and their order are those of
-    ``np.exp(a + b * x + c * x * x)``.  The caller decides how overflow is
-    treated.
+    ``b x`` and ``c x`` come from one multiply, and the operations and
+    their order are those of ``np.exp(a + b * x + c * x * x)``.  The
+    caller decides how overflow is treated.
     """
-    np.multiply(coeffs.b, x, expo)
-    np.add(coeffs.a, expo, expo)
-    np.multiply(coeffs.c, x, out)
-    np.multiply(out, x, out)
-    np.add(expo, out, expo)
-    return np.exp(expo, out)
+    bx, cx = np.multiply(coeffs.T[1:, :, None], x, scratch)
+    np.add(coeffs[:, :1], bx, bx)
+    np.multiply(cx, x, cx)
+    np.add(bx, cx, bx)
+    return np.exp(bx, out)
+
+
+def _started(block: SignalBlock, initial_weights, entries: list, clamp_floor):
+    """The rows whose start is valid, their weights, the weights' maxima and
+    the clamped log samples; every other row's error goes into ``entries``.
+
+    A row's checks run in the order shape, finite, non-negative, clamp
+    floor.  The weights are a copy: the caller's arrays stay unwritten.
+    """
+    n = block.samples.shape[1]
+    shaped, starts = [], []
+    for i, weights in enumerate(initial_weights):
+        w = np.asarray(weights, dtype=np.float64)
+        if w.shape != (n,):
+            entries[i] = ShapeError(f"weights shape {w.shape} does not match {n} samples")
+        else:
+            shaped.append(i)
+            starts.append(w)
+    if not shaped:
+        return [], None, None, None
+    weights = np.array(starts)
+    # a NaN anywhere makes both extremes NaN
+    lows = np.minimum.reduce(weights, 1).tolist()
+    highs = np.maximum.reduce(weights, 1).tolist()
+    live, floors = [], []
+    for j, (i, lo, hi) in enumerate(zip(shaped, lows, highs)):
+        try:
+            if not (math.isfinite(lo) and math.isfinite(hi)):
+                raise GaussFitError("weights must be finite")
+            if lo < 0:
+                raise GaussFitError("weights must be non-negative")
+            floors.append(resolve_clamp_floor(block.row(i), clamp_floor))
+        except GaussFitError as err:
+            entries[i] = err
+            continue
+        live.append(j)
+    rows = [shaped[j] for j in live]
+    if not rows:
+        return [], None, None, None
+    w_max = np.array(highs)
+    if len(live) < len(shaped):
+        weights, w_max = weights[live], w_max[live]
+    samples = block.samples if len(rows) == len(block) else block.samples[rows]
+    # log_transform of each row with its own floor
+    logs = np.log(np.maximum(samples, np.array(floors)[:, None]))
+    return rows, weights, w_max, logs
+
+
+def wls_traces(
+    block: SignalBlock,
+    initial_weights,
+    num_iters: int,
+    clamp_floor: float | None = None,
+) -> list:
+    """Run the reweighting iteration on every row of ``block``.
+
+    ``initial_weights`` holds one weight vector per row.  Iteration 0 of a
+    row solves with its initial weights; every later iteration rebuilds
+    the weights from the row's previous coefficient estimate, the values
+    of :func:`weights_from_params` (non-finite rebuilt weights are zeroed,
+    they carry no usable information).  The clamp floor is
+    ``clamp_floor``, or each row's default floor when it is ``None``.
+
+    Returns one entry per row: its :data:`gaussfit.results.WlsTrace`, one
+    :class:`WlsStep` per iteration, or the :class:`GaussFitError` of the
+    row, exactly what :func:`wls_trace` raises on that row alone.  Weights
+    of the wrong shape give a :class:`ShapeError`, non-finite or negative
+    ones a :class:`GaussFitError`, an unusable floor an
+    ``InvalidClampError``, and rank deficiency at an iteration a
+    :class:`SingularSystemError` with ``stage="wls_trace"``, the iteration
+    index and, in ``completed``, the iterates finished before it.
+
+    An iterate whose quadratic curls upward (``c >= 0``) still defines
+    valid weights, so the iteration continues through it; on noisy
+    tail-heavy signals the reweighting routinely recovers a proper
+    Gaussian within an iteration or two.  Such iterates appear in the
+    trace with ``params=None``; whether the last one must be a Gaussian is
+    the caller's decision.
+    """
+    if num_iters < 1:
+        raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
+    if len(initial_weights) != len(block):
+        raise ShapeError(f"{len(initial_weights)} weight vectors for {len(block)} rows")
+    entries: list = [None] * len(block)
+    live, weights, w_max, logs = _started(block, initial_weights, entries, clamp_floor)
+    if not live:
+        return entries
+    x = block.grid
+    mid = float(0.5 * (x[0] + x[-1]))
+    # the grid and the centered grid once per row: ufuncs on operands of one
+    # shape skip numpy's broadcasting, which costs more than the arithmetic
+    grids = np.empty((2, *weights.shape))
+    grids[0] = x
+    np.subtract(grids[0], mid, grids[1])
+    moments = np.empty((5, *weights.shape))
+    traces: list[WlsTrace] = [[] for _ in live]
+    k = 0
+    with np.errstate(all="ignore"):
+        for i in range(num_iters):
+            if k != len(live):  # the first step, or rows have left the block
+                k = len(live)
+                rows, xs, ts = moments[:, :k], grids[0, :k], grids[1, :k]
+                u, ut, ut2, ut3, ut4 = rows
+                weights = weights[:k]
+            np.divide(weights, w_max[:, None], u)  # uniform scaling cancels in the solve
+            np.multiply(u, u, u)
+            np.multiply(u, ts, ut)
+            np.multiply(ut, ts, ut2)
+            np.multiply(ut2, ts, ut3)
+            np.multiply(ut3, ts, ut4)
+            sums = np.add.reduce(rows, 2).tolist()
+            rhs = np.vecdot(rows[:3], logs).tolist()
+            kept, coeffs = [], []
+            for j, (s0, s1, s2, s3, s4, r0, r1, r2) in enumerate(zip(*sums, *rhs)):
+                try:
+                    # not s0 > 2: a NaN sum (all weights zero) is checked too
+                    if not s0 > 2.0 and np.count_nonzero(weights[j]) < 3:
+                        raise SingularSystemError(
+                            "fewer than 3 samples carry positive weight")
+                    ac, bc, cc = _solve_normal(s0, s1, s2, s3, s4, r0, r1, r2)
+                except SingularSystemError as err:
+                    entries[live[j]] = SingularSystemError(
+                        str(err), stage="wls_trace", iteration=i, completed=traces[j])
+                    continue
+                # undo the centering: a + b(x - m) + c(x - m)^2 back to powers of x
+                a, b = ac - bc * mid + cc * mid * mid, bc - 2.0 * cc * mid
+                step = LogPolyCoeffs._of(a, b, cc)
+                params = None
+                try:
+                    params = params_from_coeffs(step)
+                except (InvalidWidthError, InvalidParamsError):
+                    pass
+                traces[j].append(WlsStep(step, params))
+                kept.append(j)
+                coeffs.append((a, b, cc))
+            if len(kept) < k:
+                live = [live[j] for j in kept]
+                traces = [traces[j] for j in kept]
+                logs = logs[kept]
+            if i + 1 == num_iters or not live:
+                break
+            # the rows that stay, in order; the solved moments make room for
+            # the exponent
+            rebuilt = weights[:len(live)]
+            _gaussian_values(np.array(coeffs), xs[:len(live)], rows[:2, :len(live)], rebuilt)
+            w_max = np.maximum.reduce(rebuilt, 1)
+            for j, top in enumerate(w_max.tolist()):
+                if not math.isfinite(top):  # NaN anywhere makes the max NaN
+                    w = rebuilt[j]
+                    w[~np.isfinite(w)] = 0.0
+                    w_max[j] = np.maximum.reduce(w)
+    for row, trace in zip(live, traces):
+        entries[row] = trace
+    return entries
+
+
+def wls_trace(
+    signal: SampledSignal,
+    initial_weights,
+    num_iters: int,
+    clamp_floor: float | None = None,
+) -> WlsTrace:
+    """Run the reweighting iteration on one signal and return every
+    iterate: :func:`wls_traces` on a block of one, raising the row's
+    error."""
+    entry, = wls_traces(SignalBlock.of(signal), [initial_weights], num_iters, clamp_floor)
+    if isinstance(entry, GaussFitError):
+        raise entry
+    return entry
 
 
 def weighted_ls_solve(
@@ -190,13 +312,13 @@ def weighted_ls_solve(
     weights,
     clamp_floor: float | None = None,
 ) -> LogPolyCoeffs:
-    """Minimize ``sum w[n]^2 (ln y[n] - a - b x - c x^2)^2``.
+    """Minimize ``sum w[n]^2 (ln y[n] - a - b x - c x^2)^2``: iteration 0
+    of :func:`wls_trace`.
 
     Raises :class:`SingularSystemError` when fewer than three samples have
     positive weight (the weighted system is rank deficient).
     """
-    w, w_max, logs, _, mid, t, moments = _prepared(signal, weights, clamp_floor)
-    return _normal_solve(w, w_max, logs, t, mid, moments)
+    return wls_trace(signal, weights, 1, clamp_floor)[0].coeffs
 
 
 def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
@@ -207,56 +329,8 @@ def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
     simply produces zero weight.
     """
     x = np.asarray(grid, dtype=np.float64)
+    out = np.empty((1, *x.shape))
     with np.errstate(over="ignore", under="ignore"):
-        return _gaussian_values(coeffs, x, np.empty_like(x), np.empty_like(x))
-
-
-def wls_trace(
-    signal: SampledSignal,
-    initial_weights,
-    num_iters: int,
-    clamp_floor: float | None = None,
-) -> WlsTrace:
-    """Run the reweighting iteration and return every iterate.
-
-    Iteration 0 solves with ``initial_weights``; every later iteration
-    rebuilds its weights from the previous coefficient estimate, the
-    values of :func:`weights_from_params` (non-finite rebuilt weights are
-    zeroed, they carry no usable information).
-
-    An iterate whose quadratic curls upward (``c >= 0``) still defines
-    valid weights, so the iteration continues through it; on noisy
-    tail-heavy signals the reweighting routinely recovers a proper
-    Gaussian within an iteration or two.  Such iterates appear in the
-    trace with ``params=None``; whether the last one must be a Gaussian is
-    the caller's decision.  Rank deficiency at any iteration raises
-    :class:`SingularSystemError` with ``stage="wls_trace"``, the
-    iteration index and the iterates completed before it.
-    """
-    if num_iters < 1:
-        raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
-    w, w_max, logs, x, mid, t, moments = _prepared(signal, initial_weights,
-                                                   clamp_floor)
-    # the rebuilt weights get their own buffer: initial_weights stays unwritten
-    expo, rebuilt = np.empty(x.size), np.empty(x.size)
-    trace: WlsTrace = []
-    with np.errstate(over="ignore", under="ignore"):
-        for i in range(num_iters):
-            try:
-                coeffs = _normal_solve(w, w_max, logs, t, mid, moments)
-            except SingularSystemError as err:
-                raise SingularSystemError(str(err), stage="wls_trace", iteration=i,
-                                          completed=trace) from None
-            params = None
-            try:
-                params = params_from_coeffs(coeffs)
-            except (InvalidWidthError, InvalidParamsError):
-                pass
-            trace.append(WlsStep(coeffs=coeffs, params=params))
-            if i + 1 < num_iters:
-                w = _gaussian_values(coeffs, x, expo, rebuilt)
-                w_max = float(np.maximum.reduce(w))
-                if not math.isfinite(w_max):  # NaN anywhere makes the max NaN
-                    w[~np.isfinite(w)] = 0.0
-                    w_max = float(np.maximum.reduce(w))
-    return trace
+        _gaussian_values(np.array([[coeffs.a, coeffs.b, coeffs.c]]), x,
+                         np.empty((2, *out.shape)), out)
+    return out[0]

@@ -12,17 +12,24 @@ M5     iterative reweighted LS seeded with the clamped samples
 
 M2, M4 and M5 are one reweighting iteration started from three weight
 vectors; :func:`start_weights` builds the start from the stage-1 outcome
-of :func:`stage_one`, and :func:`run_method` and the iteration sweep of
-:mod:`gaussfit.bench` both hand it to :func:`gaussfit.linfit.wls_trace`.  The two-stage
-methods start from the Gaussian described by the stage-1 estimate, frozen
-(the iteration does not re-pick the peak), so with equal starting weights
-and iteration counts the three outputs are bit-identical.
+of :func:`stage_one`.  The two-stage methods start from the Gaussian
+described by the stage-1 estimate, frozen (the iteration does not re-pick
+the peak), so with equal starting weights and iteration counts the three
+outputs are bit-identical.
 
 Stage 1 (M1, or the split-area fit of M3) runs on blocks of signals: on a
 row of a :class:`gaussfit.signal.SignalBlock` it runs once for the whole
 block, the first time one of its rows asks, and the other rows and
 methods read the outcome.  A benchmark chunk thus runs M1 and M3 once
 per block and hands the same outcomes to M2 and M4.
+
+The iteration runs on blocks too.  :func:`trace_block` starts every row
+of a block and hands the rows with a start to one
+:func:`gaussfit.linfit.wls_traces` call, and :func:`fit_block` turns each
+row's trace into its fit: one entry per row, a :class:`FitResult` or the
+row's :class:`GaussFitError`.  :func:`run_method` fits one signal through
+:func:`gaussfit.linfit.wls_trace`, the same kernel on a block of one, and
+builds its result the way :func:`fit_block` does.
 """
 
 from __future__ import annotations
@@ -45,7 +52,7 @@ from .initfit import (
     naive_peak,
     sigma_area_m1,
 )
-from .linfit import wls_trace
+from .linfit import wls_trace, wls_traces
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
 from .signal import (
     GaussianParams,
@@ -59,9 +66,11 @@ from .signal import (
 __all__ = [
     "METHOD_IDS",
     "MethodSpec",
+    "fit_block",
     "run_method",
     "stage_one",
     "start_weights",
+    "trace_block",
 ]
 
 METHOD_IDS = ("M1", "M2", "M3", "M4", "M5")
@@ -154,6 +163,70 @@ def start_weights(
     return np.exp(log_transform(signal, floor)), status, diagnostics
 
 
+def _iterations(spec: MethodSpec) -> int:
+    return spec.m5_iters if spec.method_id == "M5" else spec.stage2_iters
+
+
+def _reweighted_fit(spec: MethodSpec, trace: list, status: str, diagnostics: dict):
+    """The :class:`FitResult` of a finished trace, or the
+    :class:`InvalidWidthError` of a last iterate that is no Gaussian."""
+    last = trace[-1]
+    if last.params is None:
+        return InvalidWidthError("final iterate does not describe a Gaussian",
+                                 stage="wls_trace", iteration=len(trace) - 1)
+    return FitResult(
+        params=last.params,
+        coeffs=last.coeffs,
+        method=spec.method_id,
+        iterations_run=len(trace),
+        status=status,
+        diagnostics=diagnostics,
+    )
+
+
+def trace_block(spec: MethodSpec, block: SignalBlock, table: ErfTable,
+                num_iters: int) -> list:
+    """The ``num_iters``-step reweighting trace of M2, M4 or M5 on every
+    row of ``block``, with one :func:`gaussfit.linfit.wls_traces` call.
+
+    One entry per row, ``(trace, status, diagnostics)``: the row's
+    :func:`wls_traces` entry (its trace, or the error that ended it) with
+    the status and diagnostics of :func:`start_weights`.  A row without a
+    start has the error of :func:`start_weights` and ``None``, ``None``.
+    """
+    entries: list = []
+    started, weights = [], []
+    for i in range(len(block)):
+        row = block.row(i)
+        try:
+            w0, status, diagnostics = start_weights(spec, row, stage_one(spec, row, table))
+        except GaussFitError as err:
+            entries.append((err, None, None))
+            continue
+        entries.append((None, status, diagnostics))
+        started.append(i)
+        weights.append(w0)
+    if started:
+        if len(started) < len(block):
+            block = SignalBlock(block.delta_x, block.samples[started], block.x0)
+        for i, trace in zip(started, wls_traces(block, weights, num_iters,
+                                                spec.clamp_floor)):
+            entries[i] = (trace, *entries[i][1:])
+    return entries
+
+
+def fit_block(spec: MethodSpec, block: SignalBlock, table: ErfTable) -> list:
+    """Run M2, M4 or M5 on every row of ``block``: one entry per row, the
+    :class:`FitResult` :func:`run_method` returns on that row or the
+    :class:`GaussFitError` it raises.  Stage 1 and :func:`start_weights`
+    run per row and the iteration as one :func:`trace_block`.
+    """
+    return [trace if isinstance(trace, GaussFitError)
+            else _reweighted_fit(spec, trace, status, diagnostics)
+            for trace, status, diagnostics in trace_block(spec, block, table,
+                                                          _iterations(spec))]
+
+
 def run_method(
     spec: MethodSpec, signal: SampledSignal, table: ErfTable
 ) -> FitResult:
@@ -173,17 +246,9 @@ def run_method(
         if isinstance(stage1, GaussFitError):
             raise stage1
         return stage1
-    iters = spec.m5_iters if mid == "M5" else spec.stage2_iters
     w0, status, diagnostics = start_weights(spec, signal, stage1)
-    last = wls_trace(signal, w0, iters, spec.clamp_floor)[-1]
-    if last.params is None:
-        raise InvalidWidthError("final iterate does not describe a Gaussian",
-                                stage="wls_trace", iteration=iters - 1)
-    return FitResult(
-        params=last.params,
-        coeffs=last.coeffs,
-        method=mid,
-        iterations_run=iters,
-        status=status,
-        diagnostics=diagnostics,
-    )
+    fit = _reweighted_fit(spec, wls_trace(signal, w0, _iterations(spec), spec.clamp_floor),
+                          status, diagnostics)
+    if isinstance(fit, GaussFitError):
+        raise fit
+    return fit

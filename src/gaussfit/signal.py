@@ -72,13 +72,25 @@ class GaussianParams:
         object.__setattr__(self, "amplitude", float(self.amplitude))
         object.__setattr__(self, "mu", float(self.mu))
         object.__setattr__(self, "sigma", float(self.sigma))
-        a, m, s = self.amplitude, self.mu, self.sigma
-        if not (math.isfinite(a) and a > 0):
-            raise InvalidParamsError(f"amplitude must be finite and > 0, got {a!r}")
-        if not math.isfinite(m):
-            raise InvalidParamsError(f"mu must be finite, got {m!r}")
-        if not (math.isfinite(s) and s > 0):
-            raise InvalidParamsError(f"sigma must be finite and > 0, got {s!r}")
+        _check_params(self.amplitude, self.mu, self.sigma)
+
+    @classmethod
+    def _of(cls, amplitude: float, mu: float, sigma: float) -> "GaussianParams":
+        """The checked parameters from values that are already ``float``."""
+        _check_params(amplitude, mu, sigma)
+        self = object.__new__(cls)  # frozen: fill the fields past __setattr__
+        fields = self.__dict__
+        fields["amplitude"], fields["mu"], fields["sigma"] = amplitude, mu, sigma
+        return self
+
+
+def _check_params(a: float, m: float, s: float) -> None:
+    if not (math.isfinite(a) and a > 0):
+        raise InvalidParamsError(f"amplitude must be finite and > 0, got {a!r}")
+    if not math.isfinite(m):
+        raise InvalidParamsError(f"mu must be finite, got {m!r}")
+    if not (math.isfinite(s) and s > 0):
+        raise InvalidParamsError(f"sigma must be finite and > 0, got {s!r}")
 
 
 @dataclass(frozen=True)
@@ -98,6 +110,14 @@ class LogPolyCoeffs:
         object.__setattr__(self, "a", float(self.a))
         object.__setattr__(self, "b", float(self.b))
         object.__setattr__(self, "c", float(self.c))
+
+    @classmethod
+    def _of(cls, a: float, b: float, c: float) -> "LogPolyCoeffs":
+        """The coefficients from values that are already ``float``."""
+        self = object.__new__(cls)  # frozen: fill the fields past __setattr__
+        fields = self.__dict__
+        fields["a"], fields["b"], fields["c"] = a, b, c
+        return self
 
 
 @dataclass
@@ -274,7 +294,7 @@ def params_from_coeffs(coeffs: LogPolyCoeffs) -> GaussianParams:
         amplitude = math.exp(a - b * b / (4.0 * c))
     except OverflowError:
         raise InvalidParamsError("amplitude overflows") from None
-    return GaussianParams(amplitude, mu, sigma)
+    return GaussianParams._of(amplitude, mu, sigma)
 
 
 def sample_gaussian(
@@ -500,9 +520,12 @@ def read_signal_csv(path) -> SampledSignal:
     delta_x = float(xs[1]) - x0
     if delta_x <= 0:
         raise ParseError("x column must be strictly increasing", line=lines[1])
+    if not math.isfinite(delta_x):
+        raise ParseError(f"x step overflows: {delta_x!r}", line=lines[1])
     tolerance = 1e-9 * delta_x + _X_ROUNDING * max(abs(x0), abs(float(xs[-1])))
-    steps = xs[1:] - xs[:-1]
-    off = steps - delta_x
+    with np.errstate(over="ignore"):  # a step that overflows is inf: not uniform
+        steps = xs[1:] - xs[:-1]
+        off = steps - delta_x
     np.abs(off, off)
     if np.maximum.reduce(off) > tolerance:
         i = int(np.argmax(off > tolerance))

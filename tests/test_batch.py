@@ -32,6 +32,7 @@ from gaussfit import (
     SignalBlock,
     bench,
     build_erf_table,
+    fit_block,
     initfit,
     m3_initial_fit,
     methods,
@@ -426,6 +427,26 @@ def test_m1_error_rows(erf_table):
     assert [g.stage for g in got[:2]] == ["naive_peak", "sigma_area_m1"]
 
 
+def test_fit_block_rows_equal_run_method_alone(erf_table, monkeypatch):
+    """Every row of a block fit equals :func:`run_method` on that row as a
+    signal of its own, for M2, M4 and M5: results, stage-1 fallbacks and
+    errors alike, including rank-deficient steps and final iterates that
+    are no Gaussian, which end a row without disturbing the others."""
+    kinds = set()
+    for snr_db in (-10.0, 0.0, 12.0):
+        for block, _, _ in _blocks(BenchConfig(trials=40, master_seed=13), snr_db, 8,
+                                   monkeypatch):
+            for mid in ("M2", "M4", "M5"):
+                spec = MethodSpec(mid)
+                for i, got in enumerate(fit_block(spec, block, erf_table)):
+                    alone = _outcome(run_method, spec, _alone(block.row(i)), erf_table)
+                    assert _key(got) == _key(alone), (snr_db, mid, i)
+                    kinds.add((mid, _kind(got)))
+    assert {("M2", "SingularSystemError"), ("M5", "SingularSystemError"),
+            ("M5", "InvalidWidthError"), ("M4", DEGENERATE_FALLBACK),
+            ("M4", CONVERGED)} <= kinds
+
+
 # ------------------------------------------------------------- bench
 
 
@@ -451,7 +472,8 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
                                                                      monkeypatch):
     """M2 and M4 reuse the chunk's M1 and M3 outcomes, and with timing each
     method is charged its own time plus its per-row share of the batched
-    stage it uses.  A fake clock advances only inside the hooks."""
+    stage it uses; M2, M4 and M5 fit a chunk in one block call, whose time
+    is shared by its rows.  A fake clock advances only inside the hooks."""
     clock = [0.0]
     monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
     calls = []
@@ -463,14 +485,14 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
             return fn(block, *args)
         return hook
 
-    def run(spec, signal, table):
-        clock[0] += 100.0 if spec.method_id in ("M2", "M4", "M5") else 0.0
-        return run_method(spec, signal, table)
+    def fit(spec, block, table):
+        clock[0] += 100.0 * len(block)
+        return fit_block(spec, block, table)
 
     monkeypatch.setattr(methods, "_m1_block", counted("M1", methods._m1_block, 1.0))
     monkeypatch.setattr(initfit, "_m3_initial_fit_block",
                         counted("M3", initfit._m3_initial_fit_block, 10.0))
-    monkeypatch.setattr(bench, "run_method", run)
+    monkeypatch.setattr(bench, "fit_block", fit)
     config = BenchConfig(trials=13, master_seed=7, snr_start_db=12.0, snr_stop_db=12.0,
                          m5_iters=2, timing=timing)
     report = run_bench_snr(config, erf_table)

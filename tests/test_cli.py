@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 
 import pytest
 
@@ -235,3 +236,71 @@ def test_negative_snr_range_with_equals_form(tmp_path):
     lines = out.read_text().splitlines()
     assert len(lines) == 1 + 2 * 1 * 3
     assert lines[1].startswith("M1,-2,")
+
+
+# Hostile but finite inputs: samples near the float maximum, samples whose
+# squares overflow, a grid near 1e300, an x step that overflows and a
+# non-uniform one that overflows.  Each ends in a result or a typed error
+# and prints nothing but the program's own message.
+_HOSTILE = {
+    "huge": ([float(i) for i in range(7)],
+             [1e300, 3e307, 1e308, 5e307, 1e306, 2e300, 1e299]),
+    "big": ([float(i) for i in range(7)],
+            [1e158, 3e159, 1e160, 5e159, 1e158, 2e157, 1e156]),
+    "far_x": ([1e300 + i * 1e290 for i in range(7)],
+              [0.1, 0.5, 1.0, 0.6, 0.2, 0.05, 0.01]),
+    "infinite_step": ([-1.5e308, 1.5e308, 1.6e308], [1.0, 2.0, 1.0]),
+    "overflowing_step": ([-1e308, -9e307, 1e308, 1.1e308], [1.0, 2.0, 1.0, 0.5]),
+}
+
+# exit code, or (A, mu, sigma, status) of a fit that succeeded
+_HOSTILE_OUTCOMES = {
+    "huge": {
+        "M1": 3,
+        "M2": (1.0294800245462929e+308, 2.138488986628011, 0.7043908653095114,
+               "degenerate-fallback"),
+        "M3": 3,
+        "M4": (1.0294800245462929e+308, 2.138488986628011, 0.7043908653095114,
+               "degenerate-fallback"),
+        "M5": (1.0261872439010504e+308, 2.1376729932762513, 0.7091354455340617,
+               "converged"),
+    },
+    "big": {
+        "M1": (1e+160, 2.0, 0.7269127291194506, "converged"),
+        "M2": (1.0216948449752053e+160, 2.1311967177044067, 0.7171338269320418,
+               "converged"),
+        "M3": 3,
+        "M4": (1.0221424250468687e+160, 2.130999659107667, 0.7164568948038937,
+               "degenerate-fallback"),
+        "M5": (1.0214397019931097e+160, 2.1314069122928156, 0.717531631825866,
+               "converged"),
+    },
+    "far_x": {"M1": (1.0, 1.0000000002e+300, 9.813975580809336e+289, "converged"),
+              "M2": 3, "M3": 3, "M4": 3, "M5": 3},
+    "infinite_step": dict.fromkeys(("M1", "M2", "M3", "M4", "M5"), 2),
+    "overflowing_step": dict.fromkeys(("M1", "M2", "M3", "M4", "M5"), 2),
+}
+
+
+@pytest.mark.parametrize("method", ["M1", "M2", "M3", "M4", "M5"])
+@pytest.mark.parametrize("name", list(_HOSTILE))
+def test_fit_on_extreme_inputs_prints_no_numpy_warning(name, method, tmp_path, capsys):
+    from gaussfit import cli
+
+    path = tmp_path / f"{name}.csv"
+    xs, ys = _HOSTILE[name]
+    path.write_text("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs, ys)))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = cli.main(["fit", "--input", str(path), "--method", method, "--output", "-"])
+    out, err = capsys.readouterr()
+    assert [str(w.message) for w in caught] == []
+    assert "Warning" not in err and "Traceback" not in err
+    want = _HOSTILE_OUTCOMES[name][method]
+    if isinstance(want, int):
+        assert (code, out) == (want, "")
+        assert err.startswith("gaussfit: ") and err.count("\n") == 1
+    else:
+        payload = json.loads(out)
+        assert (code, err) == (0, "")
+        assert (payload["A"], payload["mu"], payload["sigma"], payload["status"]) == want

@@ -15,8 +15,10 @@ from gaussfit import (
     NoiseSpec,
     SampledSignal,
     ShapeError,
+    SignalBlock,
     SingularSystemError,
     coeffs_from_params,
+    default_clamp_floor,
     eval_gaussian,
     log_transform,
     params_from_coeffs,
@@ -25,6 +27,7 @@ from gaussfit import (
     weighted_ls_solve,
     weights_from_params,
     wls_trace,
+    wls_traces,
 )
 from gaussfit.methods import MethodSpec
 
@@ -411,7 +414,12 @@ def test_weight_validation_order(bad, message):
     sig = _noiseless()
     w = np.ones(GRID_N)
     w[[7, 500]] = bad
-    for entry in (weighted_ls_solve, lambda s, w: wls_trace(s, w, 2)):
+    def block_entry(s, w):
+        entry, = wls_traces(SignalBlock.of(s), [w], 2)
+        if isinstance(entry, GaussFitError):
+            raise entry
+
+    for entry in (weighted_ls_solve, lambda s, w: wls_trace(s, w, 2), block_entry):
         with pytest.raises(GaussFitError, match=f"weights must be {message}"):
             entry(sig, w)
         with pytest.raises(ShapeError):
@@ -445,6 +453,89 @@ def _traces(draw):
 @given(_traces())
 def test_trace_equals_plain_oracle_property(case):
     _assert_trace_equals_plain_oracle(*case)
+
+
+def _entry_key(entry):
+    """A trace or an error in comparable form: every step by ``repr``; an
+    error by class, message, iteration and completed steps."""
+    if isinstance(entry, GaussFitError):
+        completed = getattr(entry, "completed", [])
+        return (type(entry), str(entry), entry.iteration, [repr(s) for s in completed])
+    return [repr(step) for step in entry]
+
+
+@st.composite
+def _blocks(draw):
+    """1-8 noisy Gaussians on one random grid with their starting weights,
+    an iteration count and a floor (``None``: each row's default).  A row
+    may start from dense, sparse, two or no positive weights, or from bad
+    weights (a NaN, a negative entry, a wrong length); some rows have no
+    positive sample, and half the amplitudes are 1e303 to 1e307, where
+    rebuilt weights overflow."""
+    n = draw(st.integers(3, 1200))
+    dx = draw(st.floats(1e-3, 10.0))
+    x0 = draw(st.floats(-1e3, 1e3))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    x = x0 + dx * np.arange(n)
+    span = (n - 1) * dx
+    samples, weights = [], []
+    for _ in range(draw(st.integers(1, 8))):
+        mu = x0 + gen.uniform(-0.2, 1.2) * span
+        sigma = gen.uniform(0.02, 1.0) * span
+        scale = gen.uniform(-300, 307) if gen.random() < 0.5 else gen.uniform(303, 307)
+        clean = 10.0 ** scale * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
+        noisy = clean + clean.max() * 10.0 ** gen.uniform(-4, 0) * gen.standard_normal(n)
+        kind = draw(st.sampled_from(["dense", "sparse", "sparse", "two", "zero", "nan",
+                                     "negative", "short", "no_peak"]))
+        w = gen.uniform(0.0, 3.0, n)
+        if kind == "sparse":
+            w *= gen.random(n) < max(gen.uniform(0.02, 1.0), 3.0 / n)
+        elif kind in ("two", "zero"):
+            w[gen.permutation(n)[(2 if kind == "two" else 0):]] = 0.0
+        elif kind == "nan":
+            w[gen.integers(n)] = np.nan
+        elif kind == "negative":
+            w[gen.integers(n)] = -1.0
+        elif kind == "short":
+            w = w[1:]
+        elif kind == "no_peak":
+            noisy = -np.abs(noisy)
+        samples.append(noisy)
+        weights.append(w)
+    floor = None if draw(st.booleans()) else 10.0 ** gen.uniform(-300, 300)
+    block = SignalBlock(delta_x=dx, samples=np.array(samples), x0=x0)
+    return block, weights, draw(st.integers(1, 12)), floor
+
+
+@settings(max_examples=150, deadline=None)
+@given(_blocks())
+def test_block_rows_equal_rows_alone_and_the_plain_oracle(case):
+    """Every row of a block traced at once equals the row traced alone by
+    ``repr``, errors included, and the plain formulation; rows that raise
+    or start from bad weights do not disturb the others."""
+    block, weights, num_iters, floor = case
+    kept = [np.array(w) for w in weights]
+    entries = wls_traces(block, weights, num_iters, floor)
+    assert len(entries) == len(block)
+    for i, entry in enumerate(entries):
+        sig = SampledSignal(block.delta_x, block.samples[i].copy(), block.x0)
+        try:
+            alone = wls_trace(sig, weights[i], num_iters, floor)
+        except GaussFitError as err:
+            alone = err
+        assert _entry_key(entry) == _entry_key(alone)
+        if isinstance(entry, GaussFitError) and not isinstance(entry, SingularSystemError):
+            continue
+        plain_floor = default_clamp_floor(sig) if floor is None else floor
+        want, raised = _plain_trace(sig, weights[i], num_iters, plain_floor)
+        steps = entry.completed if raised is not None else entry
+        assert raised == getattr(entry, "iteration", None)
+        if raised == 0:
+            assert str(entry).startswith("fewer than 3") == (
+                np.count_nonzero(weights[i] > 0) < 3)
+        assert [repr((s.coeffs.a, s.coeffs.b, s.coeffs.c)) for s in steps] == [
+            repr((c.a, c.b, c.c)) for c in want]
+    assert all(np.array_equal(w, k, equal_nan=True) for w, k in zip(weights, kept))
 
 
 def test_single_solve_equals_plain_oracle_bit_for_bit():

@@ -2,7 +2,8 @@
 
 Each per-layer metric of ``BENCHMARK.json`` is keyed on a public function
 of the package, so renaming or deleting one drops its metric from the
-traced result.
+traced result.  ``mc_init`` runs only the stage-1 methods and ``mc_snr12``
+all five, through the reweighting kernel.
 """
 
 import json
@@ -17,9 +18,9 @@ def _reject(constant):
     raise ValueError(f"non-finite JSON number {constant}")
 
 
-def test_traced_run_reports_every_declared_per_layer_metric():
+def _check_traced_run(workload):
     done = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "mc_init", "--seed", "3",
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", "3",
          "--seconds", "0", "--trace", "1"],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
@@ -28,3 +29,11 @@ def test_traced_run_reports_every_declared_per_layer_metric():
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+
+
+def test_traced_run_reports_every_declared_per_layer_metric():
+    _check_traced_run("mc_init")
+
+
+def test_traced_run_through_the_reweighting_kernel_is_well_formed():
+    _check_traced_run("mc_snr12")
