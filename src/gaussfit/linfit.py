@@ -329,8 +329,8 @@ def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:
     simply produces zero weight.
     """
     x = np.asarray(grid, dtype=np.float64)
-    out = np.empty((1, *x.shape))
+    out = np.empty((1, x.size))
     with np.errstate(over="ignore", under="ignore"):
-        _gaussian_values(np.array([[coeffs.a, coeffs.b, coeffs.c]]), x,
-                         np.empty((2, *out.shape)), out)
-    return out[0]
+        _gaussian_values(np.array([[coeffs.a, coeffs.b, coeffs.c]]), x.ravel(),
+                         np.empty((2, 1, x.size)), out)
+    return out.reshape(x.shape)
