@@ -36,7 +36,18 @@ initializer.
 
 Accounting: a trial whose method returns a fallback-flagged result still
 contributes its estimate to the MSE and bumps the degenerate counter; a
-trial whose method raises contributes nothing and bumps the counter.
+trial whose method raises contributes nothing and bumps the counter.  A
+cell keeps running sums: the three squared-error sums, the count of
+estimates, the degenerate count and the elapsed time, so its memory does
+not grow with the trial count.  Each sweep point's cells take their trials
+in trial order, also under ``workers``, and the sums are added in that
+order.  That is the order in which numpy sums the columns of a C-ordered
+``(trials, 3)`` array of the squared errors (pairwise summation runs only
+along a contiguous axis), with ``+0.0`` for an absent trial, so the MSEs
+equal that formulation's, which the tests keep as the oracle, in every
+bit.  Estimates and truths are finite, so a square is finite or ``inf``
+(never NaN), and one count serves all three parameters; a cell with no
+estimate reads NaN.
 """
 
 from __future__ import annotations
@@ -44,8 +55,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass, field
-
-import numpy as np
 
 from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
@@ -196,11 +205,10 @@ def mse_aggregate(estimates, truths) -> tuple[float, float, float]:
         raise ShapeError(f"length mismatch: {len(est)} estimates vs {len(tru)} truths")
     if not est:
         raise ShapeError("need at least one pair")
-    cell = _CellAccumulator(len(est))
-    for i, (e, t) in enumerate(zip(est, tru)):
-        cell.record(i, e, t, True)
-    mse = cell.mse()
-    return float(mse[0]), float(mse[1]), float(mse[2])
+    cell = _CellAccumulator()
+    for e, t in zip(est, tru):
+        cell.record(e, t, True)
+    return tuple(cell.mse())
 
 
 def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
@@ -224,16 +232,14 @@ def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
 
 def _chunks(config: BenchConfig, sweep_idx: int, snr_db: float,
             specs: list[MethodSpec], table: ErfTable):
-    """Yield ``(first trial index, block, truths, seeds, shares)`` for each
-    chunk; ``shares`` holds, per spec, the per-row seconds of the batched
+    """Yield ``(block, truths, seeds, shares)`` for each chunk, in trial
+    order; ``shares`` holds, per spec, the per-row seconds of the batched
     stage 1 it uses (0 without ``timing``)."""
-    first = 0
     for block, truths, seeds in _trial_blocks(config, sweep_idx, snr_db):
         shares = [0.0] * len(specs)
         if config.timing:
             shares = _stage_one_shares(specs, block.row(0), table, len(block))
-        yield first, block, truths, seeds, shares
-        first += len(block)
+        yield block, truths, seeds, shares
 
 
 def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
@@ -285,40 +291,45 @@ def _run_rows(spec: MethodSpec, block, table: ErfTable, timing: bool) -> list:
 
 
 class _CellAccumulator:
-    """Squared errors (NaN when absent), degenerate count, elapsed time."""
+    """Running sums of the squared errors, their count, the degenerate
+    count and the elapsed time of one cell."""
 
-    def __init__(self, trials: int):
-        self.sq = np.full((trials, 3), np.nan)
+    def __init__(self):
+        self.sums = [0.0, 0.0, 0.0]
+        self.count = 0
         self.degenerate = 0
         self.elapsed_s = 0.0
 
-    def record(self, trial_idx: int, estimate: GaussianParams | None,
-               truth: GaussianParams, converged: bool) -> None:
+    def record(self, estimate: GaussianParams | None, truth: GaussianParams,
+               converged: bool) -> None:
         if estimate is not None:
             da = estimate.amplitude - truth.amplitude
             dm = estimate.mu - truth.mu
             ds = estimate.sigma - truth.sigma
-            # absurd estimates may overflow the square; inf is the honest value
-            self.sq[trial_idx] = (da * da, dm * dm, ds * ds)
+            # absurd estimates may overflow the square or the sum; inf is
+            # the honest value
+            sums = self.sums
+            sums[0] += da * da
+            sums[1] += dm * dm
+            sums[2] += ds * ds
+            self.count += 1
         if estimate is None or not converged:
             self.degenerate += 1
 
-    def mse(self) -> np.ndarray:
-        present = ~np.isnan(self.sq)
-        counts = present.sum(axis=0)
-        with np.errstate(over="ignore"):  # like the squares, the sums may overflow
-            sums = np.where(present, self.sq, 0.0).sum(axis=0)
-        return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+    def mse(self) -> list[float]:
+        if not self.count:
+            return [math.nan] * 3
+        return [s / self.count for s in self.sums]
 
 
 def _snr_point(config: BenchConfig, table: ErfTable, sweep_idx: int):
     """Run all trials of one SNR point.  Pure function of its arguments."""
     snr_db = config.snr_grid_db[sweep_idx]
     specs = [config.method_spec(mid) for mid in config.methods]
-    cells = {mid: _CellAccumulator(config.trials) for mid in config.methods}
+    cells = {mid: _CellAccumulator() for mid in config.methods}
     seeds = []
-    for first, block, truths, chunk_seeds, shares in _chunks(config, sweep_idx, snr_db,
-                                                             specs, table):
+    for block, truths, chunk_seeds, shares in _chunks(config, sweep_idx, snr_db, specs,
+                                                      table):
         seeds.extend(chunk_seeds)
         for spec, share in zip(specs, shares):
             cell = cells[spec.method_id]
@@ -328,10 +339,9 @@ def _snr_point(config: BenchConfig, table: ErfTable, sweep_idx: int):
                 fits, dt = _timed(lambda: fit_block(spec, block, table), len(block),
                                   config.timing)
                 outcomes = [(fit, dt) for fit in fits]
-            for t, truth, (fit, dt) in zip(range(first, first + len(block)), truths,
-                                           outcomes):
+            for truth, (fit, dt) in zip(truths, outcomes):
                 estimate, converged = _estimate(fit)
-                cell.record(t, estimate, truth, converged)
+                cell.record(estimate, truth, converged)
                 if config.timing:
                     cell.elapsed_s += dt + share
     return sweep_idx, cells, seeds
@@ -357,7 +367,7 @@ def _emit_rows(
                     method=mid,
                     sweep=sweep_value,
                     param=name,
-                    mse=float(mse[p]),
+                    mse=mse[p],
                     trials=config.trials,
                     degenerate=cell.degenerate,
                     mean_time_us=mean_us,
@@ -406,12 +416,11 @@ def _iters_point(config: BenchConfig, table: ErfTable):
     snr_db = config.fixed_snr_db
     specs = [config.method_spec(mid) for mid in config.methods]
     cells = {
-        mid: {k: _CellAccumulator(config.trials) for k in sweep}
+        mid: {k: _CellAccumulator() for k in sweep}
         for mid in config.methods
     }
     seeds = []
-    for first, block, truths, chunk_seeds, shares in _chunks(config, 0, snr_db, specs,
-                                                             table):
+    for block, truths, chunk_seeds, shares in _chunks(config, 0, snr_db, specs, table):
         seeds.extend(chunk_seeds)
         for spec, share in zip(specs, shares):
             mid = spec.method_id
@@ -424,10 +433,9 @@ def _iters_point(config: BenchConfig, table: ErfTable):
                                     len(block), config.timing)
                 rows = [(_sweep_points(trace, status, sweep), dt)
                         for trace, status, _ in traces]
-            for t, truth, (outcomes, dt) in zip(range(first, first + len(block)), truths,
-                                                rows):
+            for truth, (outcomes, dt) in zip(truths, rows):
                 for k, (estimate, converged) in zip(sweep, outcomes):
-                    cells[mid][k].record(t, estimate, truth, converged)
+                    cells[mid][k].record(estimate, truth, converged)
                 if config.timing:
                     for k in sweep:
                         cells[mid][k].elapsed_s += dt + share

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import math
 import sys
-import warnings
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -399,9 +398,9 @@ def read_two_column_csv(
     :func:`write_signal_csv`, ``write_erf_table_csv`` and ``np.savetxt``
     write -- the exact header, then lines of two cells made only of ASCII
     digits, ``.``, ``e``, ``E``, ``+`` and ``-``, split by one comma and
-    each ended by ``\n`` -- has all its cells converted by one
-    ``np.fromstring`` call (see :func:`_plain_cells`).  Every other file, and a plain one whose
-    conversion is refused, goes through :func:`_split_cells`: the text is
+    each ended by ``\n`` -- has all its cells converted by one ``np.array``
+    call (see :func:`_plain_cells`).  Every other file, and a plain one
+    whose conversion is refused, goes through :func:`_split_cells`: the text is
     split into lines, all cells are converted at once by ``float``, and
     only when that fails is the first bad row looked for.
     """
@@ -433,26 +432,21 @@ def _plain_cells(body: bytes) -> np.ndarray | None:
     """The cells of a plain ``body`` in file order, or ``None`` when its
     conversion is refused.
 
-    numpy's C parser reads each cell with ``PyOS_string_to_double``, the
-    routine ``float`` uses, so a cell it reads to its end has the value
-    ``float`` gives it.  The plain form rules out what only ``float``
-    accepts (underscores, non-ASCII digits, surrounding blanks) and every
-    line break ``str.splitlines`` knows but ``\n``.  At the first cell it
-    cannot read to its end numpy 2.4 raises ``ValueError``, while numpy
-    1.24 warns and returns the values before it (including a partly read
-    cell), so a warning, an error, a short result and a non-finite value
-    all refuse.
+    numpy converts each cell as ``float`` does and raises ``ValueError``
+    at the first cell ``float`` refuses, so that error, a wrong count (a
+    body without its final ``\n``) and a non-finite value all refuse.
+    The plain form rules out underscores, non-ASCII digits, blanks and
+    every line break ``str.splitlines`` knows but ``\n``, on which the
+    two routes could split or convert differently.
     """
     separators = body.translate(None, _PLAIN_CELL_CHARS)
     rows = len(separators) // 2
     if not rows or separators != b",\n" * rows:
         return None
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", DeprecationWarning)
-        try:
-            values = np.fromstring(body.replace(b"\n", b","), sep=",")
-        except (ValueError, DeprecationWarning):
-            return None
+    try:
+        values = np.array(body.replace(b"\n", b",")[:-1].split(b","), dtype=np.float64)
+    except ValueError:
+        return None
     if values.size != 2 * rows or not np.isfinite(values).all():
         return None
     return values

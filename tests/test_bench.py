@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfit import (
     BenchConfig,
@@ -14,6 +16,7 @@ from gaussfit import (
     run_bench_snr,
     write_report_csv,
 )
+from gaussfit.bench import _CellAccumulator
 
 
 def _tiny_snr_config(**overrides):
@@ -60,6 +63,64 @@ def test_mse_aggregate_length_mismatch():
         mse_aggregate(a, a * 2)
     with pytest.raises(ShapeError):
         mse_aggregate([], [])
+
+
+def _array_mse(pairs):
+    """The cell MSE as the harness once formed it, kept as the oracle: one
+    ``(trials, 3)`` array of squared errors, NaN where a trial has no
+    estimate, summed down its columns by numpy."""
+    sq = np.full((len(pairs), 3), np.nan)
+    for i, (est, tru) in enumerate(pairs):
+        if est is not None:
+            da = est.amplitude - tru.amplitude
+            dm = est.mu - tru.mu
+            ds = est.sigma - tru.sigma
+            sq[i] = (da * da, dm * dm, ds * ds)
+    present = ~np.isnan(sq)
+    counts = present.sum(axis=0)
+    with np.errstate(over="ignore"):
+        sums = np.where(present, sq, 0.0).sum(axis=0)
+    return np.where(counts > 0, sums / np.maximum(counts, 1), np.nan)
+
+
+def _running_mse(pairs):
+    cell = _CellAccumulator()
+    for est, tru in pairs:
+        cell.record(est, tru, True)
+    return np.array(cell.mse())
+
+
+# zero, subnormal and near-overflow magnitudes, so that differences vanish,
+# squares underflow and squares or their sums overflow to inf
+_EDGES = (0.0, 5e-324, 2.2e-308, 1e-160, 1.0, 1e150, 1e160, 1.7e308)
+_positive = st.one_of(st.sampled_from(_EDGES[1:]),
+                      st.floats(min_value=5e-324, max_value=1.7e308))
+_finite = st.one_of(st.sampled_from(_EDGES), st.sampled_from(_EDGES).map(lambda v: -v),
+                    st.floats(allow_nan=False, allow_infinity=False))
+_params = st.builds(GaussianParams, _positive, _finite, _positive)
+
+
+@settings(max_examples=300, deadline=None)
+@given(pairs=st.lists(st.tuples(st.none() | _params, _params), max_size=300))
+def test_cell_running_sums_equal_the_array_oracle(pairs):
+    """Every bit of the running-sum MSE, NaN for a cell with no estimate,
+    equals the array formulation's."""
+    assert _running_mse(pairs).tobytes() == _array_mse(pairs).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_cell_running_sums_equal_the_array_oracle_on_long_cells(seed):
+    """Thousands of rows with errors spread over 20 decades and 2% absent:
+    numpy sums a C-ordered array down its columns row after row, as the
+    running sums do."""
+    gen = np.random.default_rng(seed)
+    rows = int(gen.integers(1000, 5000))
+    errs = gen.standard_cauchy((rows, 3)) * 10.0 ** gen.uniform(-10, 10, (rows, 3))
+    tru = GaussianParams(1.0, 8.5, 1.15)
+    pairs = [(None if gen.random() < 0.02 else
+              GaussianParams(1.0 + abs(a), 8.5 + m, 1.15 + abs(s)), tru)
+             for a, m, s in errs.tolist()]
+    assert _running_mse(pairs).tobytes() == _array_mse(pairs).tobytes()
 
 
 def test_config_validation():

@@ -1,5 +1,7 @@
 """End-to-end tests of the command line interface (subprocess level)."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -7,15 +9,18 @@ import subprocess
 import sys
 import warnings
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfit import GaussianParams, sample_gaussian, write_signal_csv
 
 SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
 
-def _run(*args):
-    env = dict(os.environ)
+def _run(*args, **extra_env):
+    env = dict(os.environ, **extra_env)
     env["PYTHONPATH"] = SRC + os.pathsep + env.get("PYTHONPATH", "")
     return subprocess.run(
         [sys.executable, "-m", "gaussfit", *args],
@@ -201,6 +206,34 @@ def test_bench_snr_deterministic_bytes(tmp_path):
     assert len(lines) == 1 + 2 * 2 * 3
 
 
+# numpy's AVX-512 kernels, turned off to run at the AVX2 level
+_AVX512_DISPATCH = ("X86_V4", "AVX512_ICL", "AVX512_SPR")
+
+
+def test_bench_snr_agrees_across_simd_dispatch_levels(tmp_path):
+    """Across numpy's SIMD levels ``exp`` and ``log`` differ in the last
+    bits, so report bytes do too; the degenerate counts agree and every
+    MSE agrees to 1e-9 relative."""
+    from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+
+    if "X86_V4" not in __cpu_dispatch__ or not __cpu_features__.get("X86_V4"):
+        pytest.skip("numpy runs no X86_V4 kernels here to turn off")
+    disabled = " ".join(f for f in _AVX512_DISPATCH if f in __cpu_dispatch__)
+    args = ("bench", "snr", "--trials", "200", "--seed", "7", "--snr=12:1:12")
+    reports = []
+    for name, extra_env in (("v4", {}), ("v3", {"NPY_DISABLE_CPU_FEATURES": disabled})):
+        out = tmp_path / f"{name}.csv"
+        res = _run(*args, "--out", str(out), **extra_env)
+        assert res.returncode == 0, res.stderr
+        reports.append([line.split(",") for line in out.read_text().splitlines()[1:]])
+    full, reduced = reports
+    assert len(full) == len(reduced) == 15
+    for a, b in zip(full, reduced):
+        mse_a, mse_b = float(a.pop(3)), float(b.pop(3))
+        assert a == b  # method, sweep, param, trials, degenerate, time, seed
+        assert mse_b == pytest.approx(mse_a, rel=1e-9, abs=0)
+
+
 def test_bench_iters_runs(tmp_path):
     out = tmp_path / "it.csv"
     res = _run("bench", "iters", "--trials", "2", "--seed", "3",
@@ -304,3 +337,62 @@ def test_fit_on_extreme_inputs_prints_no_numpy_warning(name, method, tmp_path, c
         payload = json.loads(out)
         assert (code, err) == (0, "")
         assert (payload["A"], payload["mu"], payload["sigma"], payload["status"]) == want
+
+
+@st.composite
+def _fit_inputs(draw):
+    """Arbitrary bytes, or a signal CSV on a uniform grid holding arbitrary
+    floats or a noisy Gaussian, one time in four with a byte spliced in."""
+    kind = draw(st.sampled_from(["bytes", "floats", "gaussian"]))
+    if kind == "bytes":
+        return draw(st.binary(max_size=200))
+    n = draw(st.integers(0, 60))
+    x0 = draw(st.floats(-1e6, 1e6))
+    dx = draw(st.floats(1e-4, 1e3))
+    xs = x0 + dx * np.arange(n)
+    if kind == "floats":
+        ys = draw(st.lists(st.floats(), min_size=n, max_size=n))
+    else:
+        mu = x0 + dx * draw(st.floats(-n, 2.0 * n))
+        sigma = dx * draw(st.floats(0.05, 2.0 * n + 1.0))
+        noise = draw(st.floats(0.0, 1.0)) * np.random.default_rng(
+            draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+        ys = (draw(st.floats(1e-300, 1e300))
+              * (np.exp(-(xs - mu) ** 2 / (2.0 * sigma**2)) + noise)).tolist()
+    data = ("x,y\n" + "".join(f"{x!r},{y!r}\n" for x, y in zip(xs.tolist(), ys))).encode()
+    if draw(st.integers(0, 3)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + bytes([draw(st.integers(0, 255))]) + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def fit_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fit_property")
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=_fit_inputs(), method=st.sampled_from(["M1", "M2", "M3", "M4", "M5"]),
+       iters=st.none() | st.integers(1, 20), window_l=st.none() | st.integers(1, 11),
+       clamp_floor=st.none() | st.floats(5e-324, 1e3) | st.floats())
+def test_fit_ends_in_a_finite_fit_or_a_typed_exit_property(fit_dir, data, method, iters,
+                                                           window_l, clamp_floor):
+    """Whatever the bytes and flags, ``gaussfit fit`` raises nothing and
+    exits 0 with a finite A, mu and sigma, 2 (unreadable input or bad
+    flag) or 3 (failed fit)."""
+    from gaussfit import cli
+
+    path, out = fit_dir / "in.csv", fit_dir / "out.json"
+    path.write_bytes(data)
+    out.unlink(missing_ok=True)
+    argv = ["fit", "--input", str(path), "--method", method, "--output", str(out)]
+    for flag, value in (("--iters", iters), ("--window-l", window_l),
+                        ("--clamp-floor", clamp_floor)):
+        if value is not None:
+            argv.append(f"{flag}={value!r}")
+    with contextlib.redirect_stderr(io.StringIO()):
+        code = cli.main(argv)
+    assert code in (0, 2, 3)
+    if code == 0:
+        fit = json.loads(out.read_text())
+        assert all(math.isfinite(fit[key]) for key in ("A", "mu", "sigma"))

@@ -1,7 +1,7 @@
 """Tests for the Gaussian model, sampling, log transform and signal CSV."""
 
+import contextlib
 import math
-import warnings
 from itertools import repeat
 from unittest import mock
 
@@ -299,7 +299,7 @@ def test_signal_csv_round_trip_far_from_origin(tmp_path, delta_x, x0):
 
 # ------------------------------------------ CSV reader against the oracle
 #
-# The reader as it was before numpy's C parser converted plain files: the
+# The reader as it was before one numpy call converted plain files: the
 # text split into lines, every cell converted by ``float``.  Kept verbatim
 # as the oracle of the two-route reader.
 
@@ -361,37 +361,6 @@ def _outcome(read, *args):
             first.flags.c_contiguous, second.flags.c_contiguous)
 
 
-_real_fromstring = np.fromstring
-
-
-def _fromstring_numpy_1_24(string, sep):
-    """``np.fromstring`` as numpy 1.24 has it: at a cell it cannot
-    read to its end it warns and returns the values before that cell and
-    the number the cell starts with, if any."""
-    try:
-        return _real_fromstring(string, sep=sep)
-    except ValueError:
-        pass
-    warnings.warn("string or file could not be read to its end due to unmatched "
-                  "data; this will raise a ValueError in the future.",
-                  DeprecationWarning, stacklevel=2)
-    values = []
-    for cell in string.split(sep.encode()):
-        read = max((end for end in range(len(cell) + 1)
-                    if _reads_one_number(cell[:end], sep)), default=0)
-        values.extend(_real_fromstring(cell[:read], sep=sep))
-        if not cell or read < len(cell):
-            break
-    return np.array(values)
-
-
-def _reads_one_number(text, sep):
-    try:
-        return _real_fromstring(text, sep=sep).size == 1
-    except ValueError:
-        return False
-
-
 def _numbers(draw, n):
     return draw(st.lists(st.floats(allow_nan=False, allow_infinity=False,
                                    width=draw(st.sampled_from([16, 32, 64]))),
@@ -451,7 +420,7 @@ def _csv_texts(draw):
 
 # texts the two routes could read differently: a vertical tab that
 # splitlines breaks at, an overflowing cell, rows of three and one cells,
-# and a last cell numpy 1.24 reads in part
+# a last cell that only starts with a number, and no final newline
 _TRICKY_TEXTS = ("x,y\n0,1\x0b\n1,2\n2,3\n", "x,y\n0 ,1\n1\x0c,2\n2,3\n",
                  "x,y\n0,1\n1,1e400\n2,3\n", "x,y\n0,1,2\n3\n4,5\n",
                  "x,y\n0,1\n1,2\n2,3e\n", "x,y\n0,1\n1,2\n2,3")
@@ -462,17 +431,24 @@ def csv_path(tmp_path_factory):
     return tmp_path_factory.mktemp("csv") / "t.csv"
 
 
-@pytest.mark.parametrize("numpy_1_24", [False, True])
+def _general_route_only(only: bool):
+    """With ``only``, the plain route refuses every file, so the reader
+    takes the general route alone."""
+    if only:
+        return mock.patch.object(signal_module, "_plain_cells", lambda body: None)
+    return contextlib.nullcontext()
+
+
+@pytest.mark.parametrize("general_route_only", [False, True])
 @pytest.mark.parametrize("min_rows", [1, 3])
 @settings(max_examples=300, deadline=None)
 @given(text=_csv_texts())
-def test_reader_equals_oracle_property(csv_path, min_rows, numpy_1_24, text):
+def test_reader_equals_oracle_property(csv_path, min_rows, general_route_only, text):
     """For any text the reader returns the oracle's arrays (bit for bit)
-    and lines, or raises its error with the same message and line; also
-    under numpy 1.24's ``fromstring``, which warns instead of raising."""
+    and lines, or raises its error with the same message and line; so
+    does its general route alone, plain texts included."""
     csv_path.write_bytes(text.encode("utf-8"))
-    fromstring = _fromstring_numpy_1_24 if numpy_1_24 else _real_fromstring
-    with mock.patch.object(np, "fromstring", fromstring):
+    with _general_route_only(general_route_only):
         got = _outcome(read_two_column_csv, csv_path, ("x", "y"), min_rows)
     assert got == _outcome(_oracle_read_two_column_csv, csv_path, ("x", "y"), min_rows)
 
@@ -487,26 +463,18 @@ def test_read_signal_csv_equals_oracle_property(csv_path, text):
         assert got == _outcome(read_signal_csv, csv_path)
 
 
-@pytest.mark.parametrize("numpy_1_24", [False, True])
+@pytest.mark.parametrize("general_route_only", [False, True])
 @pytest.mark.parametrize("text", _TRICKY_TEXTS)
-def test_tricky_texts_equal_oracle(tmp_path, text, numpy_1_24):
+def test_tricky_texts_equal_oracle(tmp_path, text, general_route_only):
     path = tmp_path / "t.csv"
     path.write_bytes(text.encode("utf-8"))
-    fromstring = _fromstring_numpy_1_24 if numpy_1_24 else _real_fromstring
-    with mock.patch.object(np, "fromstring", fromstring):
+    with _general_route_only(general_route_only):
         got = _outcome(read_two_column_csv, path, ("x", "y"), 3)
         signal = _outcome(read_signal_csv, path)
     assert got == _outcome(_oracle_read_two_column_csv, path, ("x", "y"), 3)
     with mock.patch.object(signal_module, "read_two_column_csv",
                            _oracle_read_two_column_csv):
         assert signal == _outcome(read_signal_csv, path)
-
-
-def test_numpy_1_24_fake_reads_a_partial_last_cell():
-    """numpy 1.24 reads the ``3`` of a last cell ``3e`` and only warns, so
-    its result has the full length; only the warning tells."""
-    with pytest.warns(DeprecationWarning):
-        assert _fromstring_numpy_1_24(b"0,1,2,3e,", ",").tolist() == [0, 1, 2, 3]
 
 
 def test_plain_files_take_the_c_route(tmp_path, monkeypatch):

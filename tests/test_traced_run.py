@@ -2,8 +2,9 @@
 
 Each per-layer metric of ``BENCHMARK.json`` is keyed on a public function
 of the package, so renaming or deleting one drops its metric from the
-traced result.  ``mc_init`` runs only the stage-1 methods and ``mc_snr12``
-all five, through the reweighting kernel.
+traced result.  ``mc_init`` runs only the stage-1 methods, ``mc_snr12``
+all five through the reweighting kernel, and ``mc_iters12`` the iteration
+sweep, whose cells the harness scores trace point by trace point.
 """
 
 import json
@@ -37,3 +38,7 @@ def test_traced_run_reports_every_declared_per_layer_metric():
 
 def test_traced_run_through_the_reweighting_kernel_is_well_formed():
     _check_traced_run("mc_snr12")
+
+
+def test_traced_run_of_the_iteration_sweep_is_well_formed():
+    _check_traced_run("mc_iters12")
