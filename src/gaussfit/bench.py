@@ -18,18 +18,22 @@ measurements excepted, which is why they are off by default).
 
 Trials run in chunks of ``_CHUNK``: a chunk's truths and noise are drawn
 as one :class:`gaussfit.signal.SignalBlock`, and every method then fits
-the whole chunk.  M1 and M3 run on its rows one trial at a time through
-:func:`gaussfit.methods.run_method`; M2, M4 and M5 fit it with one
-:func:`gaussfit.methods.fit_block` call (one
-:func:`gaussfit.methods.trace_block` with
-``max(iter_sweep)`` steps in the iteration sweep), so the reweighting of
-all its rows is one :func:`gaussfit.linfit.wls_traces` kernel call.
+the whole chunk.  Both shapes run one loop over a sweep point's chunks,
+which scores every method at a tuple of iteration counts: ``iter_sweep``
+in the iteration sweep, the method's own count (``stage2_iters``, or
+``m5_iters`` for M5) in the SNR sweep.  M1 and M3 run on a chunk's rows
+one trial at a time through :func:`gaussfit.methods.run_method`, and
+their outcome scores at every count.  M2, M4 and M5 trace the chunk with
+one :func:`gaussfit.methods.trace_block` of the largest count, so the
+reweighting of all its rows is one :func:`gaussfit.linfit.wls_traces`
+kernel call, and each count scores the iterate it ends on, which is what
+``run_method`` returns (or raises on) with that many iterations.
 Stage 1 runs once over the block, when the first row asks
 (:func:`gaussfit.methods.stage_one`; M1 for M1 and M2, the split-area
 fit for M3 and M4 when their ``init`` is equal).  Every row equals the
 trial computed alone, so the reports do not depend on the chunk size.
 With ``timing`` on, stage 1 is run and timed ahead of the chunk's
-trials, a block call's time is shared equally by its rows, and a method
+trials, a trace's time is shared equally by its rows, and a method
 is charged its own per-row time plus its per-row share of every batched
 stage it uses, so M4's mean time still includes the split-area
 initializer.
@@ -59,7 +63,7 @@ from dataclasses import dataclass, field
 from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, InitConfig, default_erf_table
-from .methods import METHOD_IDS, MethodSpec, fit_block, run_method, stage_one, trace_block
+from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, trace_block
 from .results import CONVERGED
 from .signal import GaussianParams, NoiseSpec, sample_gaussian
 
@@ -126,8 +130,16 @@ class BenchConfig:
             raise GaussFitError("distribution bounds must be ordered")
         if self.delta_x <= 0 or self.x_max <= 0:
             raise GaussFitError("grid parameters must be positive")
-        if self.snr_step_db <= 0 or self.snr_stop_db < self.snr_start_db:
-            raise GaussFitError("SNR grid must be increasing")
+        if not (self.snr_step_db > 0
+                and -math.inf < self.snr_start_db <= self.snr_stop_db < math.inf):
+            raise GaussFitError("SNR grid must be finite and increasing")
+        for snr_db in (*self.snr_grid_db, self.fixed_snr_db):
+            try:
+                power = NoiseSpec(snr_db, 0).noise_power_for(self.a_true)
+            except ArithmeticError:  # 10 ** (snr / 10) overflows or underflows to 0
+                power = math.nan
+            if not 0 < power < math.inf:
+                raise GaussFitError(f"SNR {snr_db} dB gives no finite, positive noise power")
         for mid in self.methods:
             if mid not in METHOD_IDS:
                 raise UnknownMethodError(f"unknown method id {mid!r}")
@@ -260,15 +272,6 @@ def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
     return shares
 
 
-def _timed(call, rows: int, timing: bool):
-    """``call()`` and, with ``timing``, its seconds per row (else 0)."""
-    if not timing:
-        return call(), 0.0
-    t0 = time.perf_counter()
-    result = call()
-    return result, (time.perf_counter() - t0) / rows
-
-
 def _estimate(fit) -> tuple[GaussianParams | None, bool]:
     """A fit's estimate and whether it converged; an error has neither."""
     if isinstance(fit, GaussFitError):
@@ -276,17 +279,17 @@ def _estimate(fit) -> tuple[GaussianParams | None, bool]:
     return fit.params, fit.status == CONVERGED
 
 
-def _run_rows(spec: MethodSpec, block, table: ErfTable, timing: bool) -> list:
+def _run_rows(spec: MethodSpec, block, table: ErfTable) -> list:
     """``(outcome, seconds)`` of M1 or M3 on each row of ``block``, one
     :func:`run_method` call per row: its result or the error it raised."""
     outcomes = []
     for i in range(len(block)):
-        t0 = time.perf_counter() if timing else 0.0
+        t0 = time.perf_counter()
         try:
             fit = run_method(spec, block.row(i), table)
         except GaussFitError as err:
             fit = err
-        outcomes.append((fit, time.perf_counter() - t0 if timing else 0.0))
+        outcomes.append((fit, time.perf_counter() - t0))
     return outcomes
 
 
@@ -322,43 +325,61 @@ class _CellAccumulator:
         return [s / self.count for s in self.sums]
 
 
-def _snr_point(config: BenchConfig, table: ErfTable, sweep_idx: int):
-    """Run all trials of one SNR point.  Pure function of its arguments."""
-    snr_db = config.snr_grid_db[sweep_idx]
+def _sweep_point(config: BenchConfig, table: ErfTable, sweep_idx: int, snr_db: float,
+                 counts: dict[str, tuple[int, ...]]):
+    """Run all trials of one sweep point and score each method at each of
+    its iteration ``counts``: per method, one cell per count, and the
+    trials' seeds.  M1 and M3 have no iterative stage and score one
+    outcome at every count; M2, M4 and M5 score one trace of the largest
+    count at each.  Pure function of its arguments."""
     specs = [config.method_spec(mid) for mid in config.methods]
-    cells = {mid: _CellAccumulator() for mid in config.methods}
+    cells = {mid: [_CellAccumulator() for _ in counts[mid]] for mid in config.methods}
     seeds = []
     for block, truths, chunk_seeds, shares in _chunks(config, sweep_idx, snr_db, specs,
                                                       table):
         seeds.extend(chunk_seeds)
         for spec, share in zip(specs, shares):
-            cell = cells[spec.method_id]
-            if spec.method_id in ("M1", "M3"):
-                outcomes = _run_rows(spec, block, table, config.timing)
+            mid = spec.method_id
+            ks = counts[mid]
+            if mid in ("M1", "M3"):
+                rows = [([_estimate(fit)] * len(ks), dt)
+                        for fit, dt in _run_rows(spec, block, table)]
             else:
-                fits, dt = _timed(lambda: fit_block(spec, block, table), len(block),
-                                  config.timing)
-                outcomes = [(fit, dt) for fit in fits]
-            for truth, (fit, dt) in zip(truths, outcomes):
-                estimate, converged = _estimate(fit)
-                cell.record(estimate, truth, converged)
-                if config.timing:
-                    cell.elapsed_s += dt + share
-    return sweep_idx, cells, seeds
+                t0 = time.perf_counter()
+                traces = trace_block(spec, block, table, max(ks))
+                dt = (time.perf_counter() - t0) / len(block)
+                rows = [(_sweep_points(trace, status, ks), dt)
+                        for trace, status, _ in traces]
+            for truth, (outcomes, dt) in zip(truths, rows):
+                for cell, (estimate, converged) in zip(cells[mid], outcomes):
+                    cell.record(estimate, truth, converged)
+                    if config.timing:
+                        cell.elapsed_s += dt + share
+    return cells, seeds
 
 
-def _snr_point_args(args):
-    return _snr_point(*args)
+def _sweep_points(trace, status, sweep) -> list:
+    """``(estimate, converged)`` at each sweep point of one trial's trace
+    (or of the error that ended it): the final iterate of a fit with that
+    many iterations, as :func:`run_method` would return or raise it."""
+    if isinstance(trace, SingularSystemError):
+        trace = trace.completed  # points before the failing step stand
+    elif isinstance(trace, GaussFitError):
+        return [(None, False)] * len(sweep)
+    steps = [trace[k - 1].params if k <= len(trace) else None for k in sweep]
+    return [(p, status == CONVERGED and p is not None) for p in steps]
 
 
 def _emit_rows(
     report: BenchReport,
     config: BenchConfig,
     sweep_value: float,
-    cells: dict[str, _CellAccumulator],
+    cells: dict[str, list[_CellAccumulator]],
+    j: int,
 ) -> None:
+    """Append the rows of every method's ``j``-th cell."""
     for mid in config.methods:
-        cell = cells[mid]
+        cell = cells[mid][j]
         mse = cell.mse()
         mean_us = cell.elapsed_s / config.trials * 1e6 if config.timing else 0.0
         for p, name in enumerate(PARAM_NAMES):
@@ -385,72 +406,31 @@ def run_bench_snr(config: BenchConfig, table: ErfTable | None = None) -> BenchRe
     """MSE versus SNR for every configured method.
 
     All methods inside a trial see the same noisy signal, which removes
-    between-method noise variance from the comparison.
+    between-method noise variance from the comparison.  Each method is
+    scored at its own iteration count (``m5_iters`` for M5,
+    ``stage2_iters`` for the others).
     """
     if table is None:
         table = default_erf_table()
     grid = config.snr_grid_db
-    report = BenchReport(mode="snr")
-    all_seeds: list[int] = []
-    tasks = [(config, table, j) for j in range(len(grid))]
+    counts = {mid: (config.m5_iters if mid == "M5" else config.stage2_iters,)
+              for mid in config.methods}
+    tasks = [(config, table, j, snr_db, counts) for j, snr_db in enumerate(grid)]
     if config.workers > 1 and len(tasks) > 1:
         # imported here: loading the process pool costs about 2 MiB of memory
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_snr_point_args, tasks))
+            results = list(pool.map(_sweep_point, *zip(*tasks)))
     else:
-        results = [_snr_point(*t) for t in tasks]
-    results.sort(key=lambda item: item[0])
-    for sweep_idx, cells, seeds in results:
+        results = [_sweep_point(*t) for t in tasks]
+    report = BenchReport(mode="snr")
+    all_seeds: list[int] = []
+    for snr_db, (cells, seeds) in zip(grid, results):
         all_seeds.extend(seeds)
-        _emit_rows(report, config, grid[sweep_idx], cells)
+        _emit_rows(report, config, snr_db, cells, 0)
     _check_seed_collisions(all_seeds)
     return report
-
-
-def _iters_point(config: BenchConfig, table: ErfTable):
-    """Run all trials of the fixed-SNR iteration sweep."""
-    sweep = tuple(config.iter_sweep or ())
-    max_iters = max(sweep)
-    snr_db = config.fixed_snr_db
-    specs = [config.method_spec(mid) for mid in config.methods]
-    cells = {
-        mid: {k: _CellAccumulator() for k in sweep}
-        for mid in config.methods
-    }
-    seeds = []
-    for block, truths, chunk_seeds, shares in _chunks(config, 0, snr_db, specs, table):
-        seeds.extend(chunk_seeds)
-        for spec, share in zip(specs, shares):
-            mid = spec.method_id
-            if mid in ("M1", "M3"):
-                # no iterative stage: constant across the sweep
-                rows = [([_estimate(fit)] * len(sweep), dt)
-                        for fit, dt in _run_rows(spec, block, table, config.timing)]
-            else:
-                traces, dt = _timed(lambda: trace_block(spec, block, table, max_iters),
-                                    len(block), config.timing)
-                rows = [(_sweep_points(trace, status, sweep), dt)
-                        for trace, status, _ in traces]
-            for truth, (outcomes, dt) in zip(truths, rows):
-                for k, (estimate, converged) in zip(sweep, outcomes):
-                    cells[mid][k].record(estimate, truth, converged)
-                if config.timing:
-                    for k in sweep:
-                        cells[mid][k].elapsed_s += dt + share
-    return cells, seeds
-
-
-def _sweep_points(trace, status, sweep) -> list:
-    """``(estimate, converged)`` at each sweep point of one trial's trace
-    (or of the error that ended it)."""
-    if isinstance(trace, SingularSystemError):
-        trace = trace.completed  # points before the failing step stand
-    elif isinstance(trace, GaussFitError):
-        return [(None, False)] * len(sweep)
-    steps = [trace[k - 1].params if k <= len(trace) else None for k in sweep]
-    return [(p, status == CONVERGED and p is not None) for p in steps]
 
 
 def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> BenchReport:
@@ -468,12 +448,13 @@ def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> Bench
         raise GaussFitError("iter_sweep must be set for the iteration benchmark")
     if table is None:
         table = default_erf_table()
-    cells, seeds = _iters_point(config, table)
+    sweep = config.iter_sweep
+    cells, seeds = _sweep_point(config, table, 0, config.fixed_snr_db,
+                                dict.fromkeys(config.methods, sweep))
     _check_seed_collisions(seeds)
     report = BenchReport(mode="iters")
-    for k in config.iter_sweep:
-        point_cells = {mid: cells[mid][k] for mid in config.methods}
-        _emit_rows(report, config, float(k), point_cells)
+    for j, k in enumerate(sweep):
+        _emit_rows(report, config, float(k), cells, j)
     return report
 
 

@@ -44,8 +44,8 @@ def _parse_range(text: str, what: str) -> tuple[float, float, float]:
         start, step, stop = (float(p) for p in parts)
     except ValueError:
         raise argparse.ArgumentTypeError(f"non-numeric {what}: {text!r}") from None
-    if step <= 0 or stop < start:
-        raise argparse.ArgumentTypeError(f"{what} must be increasing: {text!r}")
+    if not (0 < step < math.inf and -math.inf < start <= stop < math.inf):
+        raise argparse.ArgumentTypeError(f"{what} must be finite and increasing: {text!r}")
     return start, step, stop
 
 
@@ -150,6 +150,8 @@ def _cmd_fit(args) -> int:
             math.isfinite(args.clamp_floor) and args.clamp_floor > 0
         ):
             raise GaussFitError(f"--clamp-floor must be > 0, got {args.clamp_floor}")
+        if args.iters is not None and args.iters < 1:
+            raise GaussFitError(f"--iters must be >= 1, got {args.iters}")
         init = InitConfig(window_l=args.window_l)
         kwargs = {"init": init, "clamp_floor": args.clamp_floor}
         if args.iters is not None:
@@ -226,8 +228,8 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_erftable(args) -> int:
-    if args.kstep <= 0 or args.kmax < args.kmin or args.kmin <= 0:
-        print("gaussfit: k grid must be positive and increasing", file=sys.stderr)
+    if not (0 < args.kstep < math.inf and 0 < args.kmin <= args.kmax < math.inf):
+        print("gaussfit: k grid must be finite, positive and increasing", file=sys.stderr)
         return _EXIT_USAGE
     count = int((args.kmax - args.kmin) / args.kstep + 1e-9) + 1
     table = build_erf_table(args.kmin, args.kstep, count)

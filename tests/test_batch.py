@@ -467,13 +467,42 @@ def test_reports_do_not_depend_on_chunk_size(mode, erf_table, monkeypatch):
     assert reports[0] == reports[1] == reports[2]
 
 
+@pytest.mark.parametrize("snr_db", [12.0, 0.0])
+def test_snr_cells_equal_run_method_on_each_trial_alone(snr_db, erf_table):
+    """Every ``bench snr`` cell equals one fed by :func:`run_method` on each
+    trial's signal alone, an error counting as degenerate with no estimate:
+    the harness scores M2, M4 and M5 from block traces, not fits, and must
+    keep the library's final-iterate rule.  At 0 dB the trials include
+    rank-deficient steps, non-Gaussian final iterates and a fallback."""
+    config = BenchConfig(trials=40, master_seed=13, snr_start_db=snr_db,
+                         snr_stop_db=snr_db)
+    report = run_bench_snr(config, erf_table)
+    cells = {mid: bench._CellAccumulator() for mid in config.methods}
+    for t in range(config.trials):
+        sig, truth, _ = _oracle_trial(config, 0, t, snr_db)
+        for mid, cell in cells.items():
+            try:
+                fit = run_method(config.method_spec(mid), sig, erf_table)
+            except GaussFitError:
+                cell.record(None, truth, False)
+            else:
+                cell.record(fit.params, truth, fit.status == CONVERGED)
+    for mid, cell in cells.items():
+        got = [report.cell(mid, snr_db, name) for name in bench.PARAM_NAMES]
+        assert repr([row.mse for row in got]) == repr(cell.mse()), mid
+        assert {row.degenerate for row in got} == {cell.degenerate}, mid
+        if snr_db == 0.0 and mid != "M1":
+            assert cell.degenerate > 0, mid
+
+
 @pytest.mark.parametrize("timing", [False, True])
 def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_table,
                                                                      monkeypatch):
     """M2 and M4 reuse the chunk's M1 and M3 outcomes, and with timing each
     method is charged its own time plus its per-row share of the batched
-    stage it uses; M2, M4 and M5 fit a chunk in one block call, whose time
-    is shared by its rows.  A fake clock advances only inside the hooks."""
+    stage it uses; M2, M4 and M5 trace a chunk in one block call, whose
+    time is shared by its rows.  A fake clock advances only inside the
+    hooks."""
     clock = [0.0]
     monkeypatch.setattr(bench, "time", types.SimpleNamespace(perf_counter=lambda: clock[0]))
     calls = []
@@ -485,14 +514,14 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
             return fn(block, *args)
         return hook
 
-    def fit(spec, block, table):
+    def trace(spec, block, table, num_iters):
         clock[0] += 100.0 * len(block)
-        return fit_block(spec, block, table)
+        return methods.trace_block(spec, block, table, num_iters)
 
     monkeypatch.setattr(methods, "_m1_block", counted("M1", methods._m1_block, 1.0))
     monkeypatch.setattr(initfit, "_m3_initial_fit_block",
                         counted("M3", initfit._m3_initial_fit_block, 10.0))
-    monkeypatch.setattr(bench, "fit_block", fit)
+    monkeypatch.setattr(bench, "trace_block", trace)
     config = BenchConfig(trials=13, master_seed=7, snr_start_db=12.0, snr_stop_db=12.0,
                          m5_iters=2, timing=timing)
     report = run_bench_snr(config, erf_table)

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -271,6 +272,40 @@ def test_negative_snr_range_with_equals_form(tmp_path):
     assert lines[1].startswith("M1,-2,")
 
 
+def test_fit_iters_below_one_is_usage_error_for_every_method(noiseless_csv):
+    for method in ("M1", "M2", "M3", "M4", "M5"):
+        res = _run("fit", "--input", str(noiseless_csv), "--method", method,
+                   "--iters", "0", "--output", "-")
+        assert (res.returncode, res.stdout) == (2, ""), method
+        assert "--iters must be >= 1" in res.stderr, method
+
+
+# Numbers that once ended in a traceback and exit 1: a non-finite value, a
+# grid point 0 * inf, and SNRs whose noise power overflows or underflows.
+_BAD_NUMBERS = {
+    "snr_nan": ("bench", "snr", "--trials", "1", "--snr=nan:1:2"),
+    "snr_inf_step": ("bench", "snr", "--trials", "1", "--snr=0:inf:2"),
+    "snr_power_underflow": ("bench", "snr", "--trials", "1", "--snr=1e308:1e308:1e308"),
+    "snr_power_overflow": ("bench", "snr", "--trials", "1", "--snr=-1e6:1:-1e6"),
+    "snr_db_minus_inf": ("bench", "iters", "--trials", "1", "--snr-db=-inf"),
+    "snr_db_nan": ("bench", "iters", "--trials", "1", "--snr-db", "nan"),
+    "kmin_nan": ("erftable", "--kmin", "nan"),
+    "kmax_inf": ("erftable", "--kmax", "inf"),
+}
+
+
+@pytest.mark.parametrize("argv", list(_BAD_NUMBERS.values()), ids=list(_BAD_NUMBERS))
+def test_bad_numbers_are_usage_errors(argv, tmp_path):
+    out = tmp_path / "out.csv"
+    res = _run(*argv, "--out", str(out))
+    lines = res.stderr.splitlines()
+    assert res.returncode == 2 and "Traceback" not in res.stderr, res.stderr
+    # one message line, after the usage block that argparse prints first
+    assert [line for line in lines if not line.startswith(("usage:", " "))] == lines[-1:]
+    assert lines[-1].startswith("gaussfit")
+    assert not out.exists()
+
+
 # Hostile but finite inputs: samples near the float maximum, samples whose
 # squares overflow, a grid near 1e300, an x step that overflows and a
 # non-uniform one that overflows.  Each ends in a result or a typed error
@@ -396,3 +431,36 @@ def test_fit_ends_in_a_finite_fit_or_a_typed_exit_property(fit_dir, data, method
     if code == 0:
         fit = json.loads(out.read_text())
         assert all(math.isfinite(fit[key]) for key in ("A", "mu", "sigma"))
+
+
+# ------------------------------------------------------------- tooling guards
+
+
+_LEAN_BENCH = """
+import sys
+import gaussfit
+gaussfit.run_bench_snr(gaussfit.BenchConfig(trials=3, master_seed=7, snr_start_db=12.0,
+                                            snr_stop_db=12.0, workers=1))
+loaded = {"concurrent.futures", "multiprocessing", "argparse", "json", "gaussfit.cli"}
+print(sorted(loaded & set(sys.modules)))
+"""
+
+
+def test_library_bench_loads_neither_process_pool_nor_cli():
+    """A serial ``run_bench_snr`` imports no process pool (about 2 MiB of
+    memory) and nothing of the command line interface."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run([sys.executable, "-c", _LEAN_BENCH], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "[]\n"
+
+
+def test_readme_python_blocks_run():
+    readme = os.path.join(os.path.dirname(SRC), "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        blocks = re.findall(r"^```python\n(.*?)^```", fh.read(), re.M | re.S)
+    assert blocks
+    for code in blocks:
+        with contextlib.redirect_stdout(io.StringIO()):
+            exec(compile(code, readme, "exec"), {})

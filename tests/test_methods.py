@@ -2,16 +2,20 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gaussfit import (
     GaussFitError,
     GaussianParams,
+    InitConfig,
     InvalidParamsError,
     InvalidWindowError,
     NoiseSpec,
     NoPeakError,
     SampledSignal,
     UnknownMethodError,
+    build_erf_table,
     eval_gaussian,
     run_method,
     sample_gaussian,
@@ -203,3 +207,54 @@ def test_stage_one_errors_carry_stage_labels(erf_table):
     short = SampledSignal(delta_x=0.1, samples=[0.5, 1.0, 0.5])
     m4 = run_method(MethodSpec("M4"), short, erf_table)
     assert "[stage: windowed_peak]" in m4.diagnostics["stage1_error"]
+
+
+_TABLE = build_erf_table(0.1, 0.01, 991)  # module level: hypothesis runs many examples
+
+
+@st.composite
+def _scaled_signals(draw):
+    """A noisy bell on a random grid, a window length and ``k`` of ``2**k``."""
+    n = draw(st.integers(20, 1500))
+    dx = 10.0 ** draw(st.floats(-3.0, 0.0))
+    x0 = draw(st.floats(-100.0, 100.0))
+    amplitude = 10.0 ** draw(st.floats(-3.0, 3.0))
+    snr_db = draw(st.floats(0.0, 40.0))
+    gen = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    center = draw(st.floats(-0.2, 1.2)) * (n - 1)
+    width = draw(st.floats(0.05, 0.5)) * n
+    clean = amplitude * np.exp(-0.5 * ((np.arange(n) - center) / width) ** 2)
+    y = clean + amplitude * 10.0 ** (-snr_db / 20.0) * gen.standard_normal(n)
+    return (SampledSignal(dx, y, x0), draw(st.integers(1, 11)), draw(st.integers(-20, 20)))
+
+
+def _outcome(spec, sig):
+    try:
+        return run_method(spec, sig, _TABLE)
+    except GaussFitError as err:
+        return err
+
+
+@pytest.mark.parametrize("mid", ["M1", "M3"])
+@settings(max_examples=150, deadline=None)
+@given(case=_scaled_signals())
+def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, case):
+    """Scaling the samples by ``2**k`` scales every sum, area, ratio and
+    template product of M1 and M3 exactly, so the fit scales exactly: the
+    amplitude and the split areas by ``2**k``, everything else unchanged;
+    or both raise the same error class at the same stage."""
+    sig, window_l, k = case
+    scale = 2.0**k
+    spec = MethodSpec(mid, init=InitConfig(window_l=window_l))
+    base = _outcome(spec, sig)
+    scaled = _outcome(spec, SampledSignal(sig.delta_x, sig.samples * scale, sig.x0))
+    if isinstance(base, GaussFitError):
+        assert (type(scaled), scaled.stage) == (type(base), base.stage)
+        return
+    assert not isinstance(scaled, GaussFitError), scaled
+    assert scaled.params == GaussianParams(base.params.amplitude * scale, base.params.mu,
+                                           base.params.sigma)
+    assert scaled.status == base.status
+    want = {key: value * scale if key in ("s_beta", "s_alpha") else value
+            for key, value in base.diagnostics.items()}
+    assert list(scaled.diagnostics.items()) == list(want.items())
