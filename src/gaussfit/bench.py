@@ -9,7 +9,7 @@ Two experiment shapes:
   trial so all sweep points of a trial share the same noise.
 
 Every trial derives its own seed from ``(master_seed, sweep index, trial
-index)``, draws the true location and width from the configured uniform
+index)``, draws the true location and width from the protocol's uniform
 ranges, synthesizes one noisy signal, and runs every configured method on
 that same signal.  Reports are byte-reproducible for a fixed
 configuration; trials are independent, so sweep points may be computed in
@@ -62,7 +62,7 @@ from dataclasses import dataclass, field
 
 from . import rng
 from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
-from .initfit import ErfTable, InitConfig, default_erf_table
+from .initfit import ErfTable, default_erf_table
 from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, trace_block
 from .results import CONVERGED
 from .signal import GaussianParams, NoiseSpec, sample_gaussian
@@ -88,26 +88,26 @@ _NOISE_TAG = 0x4E4F4953
 # of a MiB.
 _CHUNK = 8
 
+# The protocol: a unit-amplitude Gaussian with location uniform on [8, 9]
+# and width uniform on [1, 1.3], sampled at spacing 0.01 on [0, 10], so the
+# bell is incompletely sampled and its long left tail is kept.  Every method
+# runs with MethodSpec's default split-area window and clamp floor.
+_A_TRUE = 1.0
+_MU_LOW, _MU_HIGH = 8.0, 9.0
+_SIGMA_LOW, _SIGMA_HIGH = 1.0, 1.3
+_DELTA_X = 0.01
+_N_SAMPLES = 1001
+
 
 @dataclass(frozen=True)
 class BenchConfig:
-    """Experiment protocol knobs.
-
-    Defaults reproduce the standard setup: unit amplitude, location
-    uniform on [8, 9] and width uniform on [1, 1.3] (an incompletely
-    sampled bell with a long left tail on the [0, 10] grid), spacing
-    0.01, and an SNR sweep from -10 dB to 20 dB in 0.5 dB steps.
+    """Experiment knobs; the protocol itself is fixed by the module
+    constants above.  Defaults sweep the SNR from -10 dB to 20 dB in
+    0.5 dB steps.
     """
 
     trials: int
     master_seed: int
-    a_true: float = 1.0
-    mu_low: float = 8.0
-    mu_high: float = 9.0
-    sigma_low: float = 1.0
-    sigma_high: float = 1.3
-    x_max: float = 10.0
-    delta_x: float = 0.01
     snr_start_db: float = -10.0
     snr_step_db: float = 0.5
     snr_stop_db: float = 20.0
@@ -116,26 +116,20 @@ class BenchConfig:
     m5_iters: int = 12
     iter_sweep: tuple[int, ...] | None = None
     fixed_snr_db: float = 12.0
-    window_l: int = 3
-    clamp_floor: float | None = None
     timing: bool = False
     workers: int = 1
 
     def __post_init__(self):
         if self.trials < 1:
             raise GaussFitError(f"trials must be >= 1, got {self.trials}")
-        if self.a_true <= 0 or self.sigma_low <= 0:
-            raise GaussFitError("amplitude and width must be positive")
-        if self.mu_high < self.mu_low or self.sigma_high < self.sigma_low:
-            raise GaussFitError("distribution bounds must be ordered")
-        if self.delta_x <= 0 or self.x_max <= 0:
-            raise GaussFitError("grid parameters must be positive")
         if not (self.snr_step_db > 0
                 and -math.inf < self.snr_start_db <= self.snr_stop_db < math.inf):
             raise GaussFitError("SNR grid must be finite and increasing")
+        if not math.isfinite((self.snr_stop_db - self.snr_start_db) / self.snr_step_db):
+            raise GaussFitError("SNR grid must have a finite number of points")
         for snr_db in (*self.snr_grid_db, self.fixed_snr_db):
             try:
-                power = NoiseSpec(snr_db, 0).noise_power_for(self.a_true)
+                power = NoiseSpec(snr_db, 0).noise_power_for(_A_TRUE)
             except ArithmeticError:  # 10 ** (snr / 10) overflows or underflows to 0
                 power = math.nan
             if not 0 < power < math.inf:
@@ -156,23 +150,14 @@ class BenchConfig:
             raise GaussFitError(f"workers must be >= 1, got {self.workers}")
 
     @property
-    def n_samples(self) -> int:
-        return int(round(self.x_max / self.delta_x)) + 1
-
-    @property
     def snr_grid_db(self) -> tuple[float, ...]:
         count = int(math.floor((self.snr_stop_db - self.snr_start_db)
                                / self.snr_step_db + 1e-9)) + 1
         return tuple(self.snr_start_db + j * self.snr_step_db for j in range(count))
 
     def method_spec(self, method_id: str) -> MethodSpec:
-        return MethodSpec(
-            method_id=method_id,
-            stage2_iters=self.stage2_iters,
-            m5_iters=self.m5_iters,
-            init=InitConfig(window_l=self.window_l),
-            clamp_floor=self.clamp_floor,
-        )
+        return MethodSpec(method_id=method_id, stage2_iters=self.stage2_iters,
+                          m5_iters=self.m5_iters)
 
 
 @dataclass(frozen=True)
@@ -226,19 +211,17 @@ def mse_aggregate(estimates, truths) -> tuple[float, float, float]:
 def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
     """Yield ``(block, truths, seeds)`` for each chunk of trials, drawn from
     the trials' derived seeds; row ``i`` is the trial of ``seeds[i]``."""
-    span_mu = config.mu_high - config.mu_low
-    span_sigma = config.sigma_high - config.sigma_low
     for first in range(0, config.trials, _CHUNK):
         last = min(first + _CHUNK, config.trials)
         seeds = [rng.mix_seed(config.master_seed, sweep_idx, t) for t in range(first, last)]
         u = rng.uniforms([rng.mix_seed(s, _PARAMS_TAG) for s in seeds], 2)
-        mus = (config.mu_low + span_mu * u[:, 0]).tolist()
-        sigmas = (config.sigma_low + span_sigma * u[:, 1]).tolist()
-        truths = [GaussianParams(amplitude=config.a_true, mu=m, sigma=s)
+        mus = (_MU_LOW + (_MU_HIGH - _MU_LOW) * u[:, 0]).tolist()
+        sigmas = (_SIGMA_LOW + (_SIGMA_HIGH - _SIGMA_LOW) * u[:, 1]).tolist()
+        truths = [GaussianParams(amplitude=_A_TRUE, mu=m, sigma=s)
                   for m, s in zip(mus, sigmas)]
         noises = [NoiseSpec(snr_db=snr_db, seed=rng.mix_seed(s, _NOISE_TAG))
                   for s in seeds]
-        block = sample_gaussian(truths, config.delta_x, config.n_samples, noises)
+        block = sample_gaussian(truths, _DELTA_X, _N_SAMPLES, noises)
         yield block, truths, seeds
 
 

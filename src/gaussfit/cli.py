@@ -231,8 +231,11 @@ def _cmd_erftable(args) -> int:
     if not (0 < args.kstep < math.inf and 0 < args.kmin <= args.kmax < math.inf):
         print("gaussfit: k grid must be finite, positive and increasing", file=sys.stderr)
         return _EXIT_USAGE
-    count = int((args.kmax - args.kmin) / args.kstep + 1e-9) + 1
-    table = build_erf_table(args.kmin, args.kstep, count)
+    steps = (args.kmax - args.kmin) / args.kstep
+    if not math.isfinite(steps):
+        print("gaussfit: k grid must have a finite number of points", file=sys.stderr)
+        return _EXIT_USAGE
+    table = build_erf_table(args.kmin, args.kstep, int(steps + 1e-9) + 1)
     try:
         write_erf_table_csv(table, args.out)
     except OSError as err:

@@ -1,11 +1,11 @@
 """Deterministic, seedable random streams.
 
 The generator is counter based: draw ``j`` of a stream is a pure function
-of ``(seed, j)``, so any subsequence can be produced independently and the
-output is bit-identical for a given seed regardless of call pattern or
-platform word size.  The mixing function is the splitmix64 finalizer over
-the counter, and normal variates come from the Box-Muller transform of
-consecutive uniform pairs.
+of ``(seed, j)``, so the output is bit-identical for a given seed
+regardless of call pattern or platform word size, and a longer request
+extends a shorter one without changing its prefix.  The mixing function
+is the splitmix64 finalizer over the counter, and normal variates come
+from the Box-Muller transform of consecutive uniform pairs.
 
 ``raw64``, ``uniforms`` and ``normals`` take one seed or a sequence of
 seeds.  A sequence gives a ``(len(seeds), count)`` block whose row ``i``
@@ -51,12 +51,12 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def raw64(seed, count: int, offset: int = 0) -> np.ndarray:
-    """64-bit words ``offset .. offset+count-1`` of the stream, one row
-    per seed when ``seed`` is a sequence."""
+def raw64(seed, count: int) -> np.ndarray:
+    """The first ``count`` 64-bit words of the stream, one row per seed
+    when ``seed`` is a sequence."""
     if count < 0:
         raise ValueError("count must be non-negative")
-    idx = np.arange(offset + 1, offset + count + 1, dtype=np.uint64)
+    idx = np.arange(1, count + 1, dtype=np.uint64)
     if np.ndim(seed) == 0:
         base = np.uint64(int(seed) & _MASK)
     else:
@@ -66,13 +66,13 @@ def raw64(seed, count: int, offset: int = 0) -> np.ndarray:
         return _mix64(state)
 
 
-def uniforms(seed, count: int, offset: int = 0) -> np.ndarray:
+def uniforms(seed, count: int) -> np.ndarray:
     """Uniform variates in the half-open interval (0, 1].
 
     The open-at-zero convention keeps ``log(u)`` finite, which the
     Box-Muller transform relies on.
     """
-    bits = raw64(seed, count, offset)
+    bits = raw64(seed, count)
     bits >>= np.uint64(11)
     u = bits.astype(np.float64)
     u += 1.0

@@ -126,7 +126,6 @@ class SampledSignal:
     delta_x: float
     samples: np.ndarray
     x0: float = 0.0
-    noise_power: float | None = None  # known only for synthetic data
 
     def __post_init__(self):
         self.samples = np.asarray(self.samples, dtype=np.float64)
@@ -175,14 +174,12 @@ class SignalBlock:
     delta_x: float
     samples: np.ndarray  # (rows, n), C-contiguous
     x0: float = 0.0
-    noise_powers: list | None = None  # one per row, for synthetic data
     _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @classmethod
     def of(cls, signal: SampledSignal) -> "SignalBlock":
         """A block of one row sharing ``signal``'s samples."""
-        return cls(signal.delta_x, signal.samples[None, :], signal.x0,
-                   [signal.noise_power])
+        return cls(signal.delta_x, signal.samples[None, :], signal.x0)
 
     @staticmethod
     def containing(signal: SampledSignal) -> tuple["SignalBlock", int]:
@@ -203,8 +200,7 @@ class SignalBlock:
     def row(self, i: int) -> SampledSignal:
         """Row ``i`` as a signal (a view of the block's samples) that knows
         its block."""
-        power = None if self.noise_powers is None else self.noise_powers[i]
-        return _BlockRow(self.delta_x, self.samples[i], self.x0, power, self, i)
+        return _BlockRow(self.delta_x, self.samples[i], self.x0, self, i)
 
     def once(self, key, compute):
         """``compute()`` on the first call with ``key``, the same object on
@@ -325,19 +321,16 @@ def sample_gaussian(
         raise InvalidGridError(f"need at least 3 samples, got {n_samples}")
     columns = np.array([(p.amplitude, p.mu, p.sigma) for p in truths]).T[:, :, None]
     y = _gaussian(*columns, delta_x * np.arange(n_samples))
-    noise_powers = None
     if noises is not None:
-        noise_powers = [spec.noise_power_for(p.amplitude)
-                        for p, spec in zip(truths, noises, strict=True)]
         draws = rng.normals([spec.seed for spec in noises], n_samples)
-        draws *= np.array([math.sqrt(power) for power in noise_powers])[:, None]
+        draws *= np.array([math.sqrt(spec.noise_power_for(p.amplitude))
+                           for p, spec in zip(truths, noises, strict=True)])[:, None]
         y += draws
     if single:  # checked by the signal itself
-        power = None if noise_powers is None else noise_powers[0]
-        return SampledSignal(delta_x=delta_x, samples=y[0], x0=0.0, noise_power=power)
+        return SampledSignal(delta_x=delta_x, samples=y[0], x0=0.0)
     if not np.isfinite(y).all():
         raise InvalidGridError("samples must all be finite")
-    return SignalBlock(delta_x=delta_x, samples=y, x0=0.0, noise_powers=noise_powers)
+    return SignalBlock(delta_x=delta_x, samples=y, x0=0.0)
 
 
 def default_clamp_floor(signal: SampledSignal) -> float:

@@ -84,23 +84,22 @@ def _oracle_normals(seed, count):
 def _oracle_sample(params, delta_x, n, noise):
     z = (delta_x * np.arange(n) - params.mu) / params.sigma
     y = params.amplitude * np.exp(-0.5 * z * z)
-    power = None
     if noise is not None:
         power = noise.noise_power_for(params.amplitude)
         y = y + math.sqrt(power) * _oracle_normals(noise.seed, n)
-    return SampledSignal(delta_x=delta_x, samples=y, x0=0.0, noise_power=power)
+    return SampledSignal(delta_x=delta_x, samples=y, x0=0.0)
 
 
 def _oracle_trial(config, sweep_idx, trial_idx, snr_db):
     seed = rng.mix_seed(config.master_seed, sweep_idx, trial_idx)
     u = _oracle_uniforms(rng.mix_seed(seed, bench._PARAMS_TAG), 2)
     truth = GaussianParams(
-        amplitude=config.a_true,
-        mu=config.mu_low + (config.mu_high - config.mu_low) * float(u[0]),
-        sigma=config.sigma_low + (config.sigma_high - config.sigma_low) * float(u[1]),
+        amplitude=bench._A_TRUE,
+        mu=bench._MU_LOW + (bench._MU_HIGH - bench._MU_LOW) * float(u[0]),
+        sigma=bench._SIGMA_LOW + (bench._SIGMA_HIGH - bench._SIGMA_LOW) * float(u[1]),
     )
     noise = NoiseSpec(snr_db=snr_db, seed=rng.mix_seed(seed, bench._NOISE_TAG))
-    return _oracle_sample(truth, config.delta_x, config.n_samples, noise), truth, seed
+    return _oracle_sample(truth, bench._DELTA_X, bench._N_SAMPLES, noise), truth, seed
 
 
 def _oracle_m1(sig):
@@ -209,7 +208,7 @@ def _kind(outcome):
 
 def _alone(sig):
     """``sig`` as a signal of its own, not a row of a block."""
-    return SampledSignal(sig.delta_x, sig.samples.copy(), sig.x0, sig.noise_power)
+    return SampledSignal(sig.delta_x, sig.samples.copy(), sig.x0)
 
 
 def _rows(block, spec, table):
@@ -252,8 +251,7 @@ def test_trial_blocks_equal_scalar_synthesis(chunk, snr_db, monkeypatch):
         want, want_truth, want_seed = _oracle_trial(config, 0, t, snr_db)
         assert (seed, truth) == (want_seed, want_truth)
         assert sig.samples.tobytes() == want.samples.tobytes()
-        assert (sig.delta_x, sig.x0, sig.noise_power) == (
-            want.delta_x, want.x0, want.noise_power)
+        assert (sig.delta_x, sig.x0) == (want.delta_x, want.x0)
 
 
 def test_sample_gaussian_is_a_block_of_one():
@@ -267,7 +265,6 @@ def test_sample_gaussian_is_a_block_of_one():
         assert alone.samples.tobytes() == _oracle_sample(
             truth, 0.01, 1001, noise).samples.tobytes()
     clean = sample_gaussian(truths, 0.01, 1001)
-    assert clean.noise_powers is None
     assert clean.row(1).samples.tobytes() == sample_gaussian(
         truths[1], 0.01, 1001).samples.tobytes()
 

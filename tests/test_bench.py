@@ -16,7 +16,7 @@ from gaussfit import (
     run_bench_snr,
     write_report_csv,
 )
-from gaussfit.bench import _CellAccumulator
+from gaussfit.bench import _N_SAMPLES, _CellAccumulator
 
 
 def _tiny_snr_config(**overrides):
@@ -129,13 +129,14 @@ def test_config_validation():
     with pytest.raises(UnknownMethodError):
         BenchConfig(trials=1, master_seed=1, methods=("M7",))
     with pytest.raises(GaussFitError):
-        BenchConfig(trials=1, master_seed=1, mu_low=9.0, mu_high=8.0)
-    with pytest.raises(GaussFitError):
         BenchConfig(trials=1, master_seed=1, stage2_iters=0)
     with pytest.raises(GaussFitError, match="repeats"):
         BenchConfig(trials=1, master_seed=1, iter_sweep=(1, 2, 2, 2, 3))
+    with pytest.raises(GaussFitError, match="finite number of points"):
+        BenchConfig(trials=1, master_seed=1, snr_start_db=-1e308, snr_step_db=1.0,
+                    snr_stop_db=1e308)
     cfg = BenchConfig(trials=1, master_seed=1)
-    assert cfg.n_samples == 1001
+    assert _N_SAMPLES == 1001
     assert len(cfg.snr_grid_db) == 61
 
 

@@ -287,10 +287,13 @@ _BAD_NUMBERS = {
     "snr_inf_step": ("bench", "snr", "--trials", "1", "--snr=0:inf:2"),
     "snr_power_underflow": ("bench", "snr", "--trials", "1", "--snr=1e308:1e308:1e308"),
     "snr_power_overflow": ("bench", "snr", "--trials", "1", "--snr=-1e6:1:-1e6"),
+    "snr_count_inf": ("bench", "snr", "--trials", "1", "--snr=-1e308:1:1e308"),
     "snr_db_minus_inf": ("bench", "iters", "--trials", "1", "--snr-db=-inf"),
     "snr_db_nan": ("bench", "iters", "--trials", "1", "--snr-db", "nan"),
     "kmin_nan": ("erftable", "--kmin", "nan"),
     "kmax_inf": ("erftable", "--kmax", "inf"),
+    "k_count_inf": ("erftable", "--kmin", "1e-300", "--kstep", "1e-300",
+                    "--kmax", "1e300"),
 }
 
 

@@ -129,7 +129,6 @@ def test_sample_noiseless_grid_values():
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
     assert sig.samples[900] == 1.0
     assert sig.samples[0] == pytest.approx(3.91157e-11, rel=1e-4)
-    assert sig.noise_power is None
     assert sig.x0 == 0.0
 
 
@@ -151,17 +150,22 @@ def test_sample_noise_deterministic():
     assert np.array_equal(a.samples, b.samples)
     c = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(12.0, 100))
     assert not np.array_equal(a.samples, c.samples)
-    assert a.noise_power == pytest.approx(10 ** (-1.2), rel=1e-12)
 
 
-def test_sample_noise_is_zero_mean():
-    """Monte Carlo: mean of y - f over 1e6 draws at 0 dB, within 4 SE."""
+@pytest.mark.parametrize("amplitude, snr_db", [(1.0, 0.0), (2.5, 12.0)])
+def test_sample_noise_is_zero_mean(amplitude, snr_db):
+    """Monte Carlo over 1e6 draws: y - f has mean 0 and variance
+    ``A^2 / 10^(snr_db/10)``, each within 4 SE."""
     n = 1_000_000
-    sig = sample_gaussian(LONG_TAIL, GRID_DX, n, NoiseSpec(snr_db=0.0, seed=31))
-    clean = eval_gaussian(LONG_TAIL, sig.grid)
-    resid = sig.samples - clean
-    se = 1.0 / math.sqrt(n)  # noise std is 1 at 0 dB with unit amplitude
-    assert abs(resid.mean()) < 4 * se
+    truth = GaussianParams(amplitude, LONG_TAIL.mu, LONG_TAIL.sigma)
+    spec = NoiseSpec(snr_db=snr_db, seed=31)
+    sig = sample_gaussian(truth, GRID_DX, n, spec)
+    resid = sig.samples - eval_gaussian(truth, sig.grid)
+    power = spec.noise_power_for(amplitude)
+    assert power == pytest.approx(amplitude**2 * 10 ** (-snr_db / 10), rel=1e-12)
+    assert abs(resid.mean()) < 4 * math.sqrt(power / n)
+    # the sample variance of n normals has SE sqrt(2 / (n - 1)) times the variance
+    assert abs(resid.var() - power) < 4 * power * math.sqrt(2.0 / (n - 1))
 
 
 def test_log_transform_matches_quadratic_exactly():
