@@ -98,12 +98,16 @@ _SIGMA_LOW, _SIGMA_HIGH = 1.0, 1.3
 _DELTA_X = 0.01
 _N_SAMPLES = 1001
 
+# The most SNR points a sweep may have.  A larger grid is refused before
+# its tuple is built (a step of 1e-9 dB over 1 dB would ask for 1e9).
+_MAX_SNR_POINTS = 10**5
+
 
 @dataclass(frozen=True)
 class BenchConfig:
     """Experiment knobs; the protocol itself is fixed by the module
     constants above.  Defaults sweep the SNR from -10 dB to 20 dB in
-    0.5 dB steps.
+    0.5 dB steps; a sweep has at most ``_MAX_SNR_POINTS`` (10^5) points.
     """
 
     trials: int
@@ -125,8 +129,11 @@ class BenchConfig:
         if not (self.snr_step_db > 0
                 and -math.inf < self.snr_start_db <= self.snr_stop_db < math.inf):
             raise GaussFitError("SNR grid must be finite and increasing")
-        if not math.isfinite((self.snr_stop_db - self.snr_start_db) / self.snr_step_db):
-            raise GaussFitError("SNR grid must have a finite number of points")
+        # the point count of snr_grid_db is at most _MAX_SNR_POINTS (and finite)
+        if not ((self.snr_stop_db - self.snr_start_db) / self.snr_step_db + 1e-9
+                < _MAX_SNR_POINTS):
+            raise GaussFitError(
+                f"SNR grid must have a finite number of points, at most {_MAX_SNR_POINTS}")
         for snr_db in (*self.snr_grid_db, self.fixed_snr_db):
             try:
                 power = NoiseSpec(snr_db, 0).noise_power_for(_A_TRUE)

@@ -20,7 +20,7 @@ import math
 import sys
 
 from .bench import BenchConfig, run_bench_iters, run_bench_snr, write_report_csv
-from .errors import GaussFitError, ParseError
+from .errors import GaussFitError, InvalidGridError, ParseError
 from .initfit import (
     InitConfig,
     build_erf_table,
@@ -235,7 +235,11 @@ def _cmd_erftable(args) -> int:
     if not math.isfinite(steps):
         print("gaussfit: k grid must have a finite number of points", file=sys.stderr)
         return _EXIT_USAGE
-    table = build_erf_table(args.kmin, args.kstep, int(steps + 1e-9) + 1)
+    try:
+        table = build_erf_table(args.kmin, args.kstep, int(steps + 1e-9) + 1)
+    except InvalidGridError as err:
+        print(f"gaussfit: {err}", file=sys.stderr)
+        return _EXIT_USAGE
     try:
         write_erf_table_csv(table, args.out)
     except OSError as err:

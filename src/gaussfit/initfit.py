@@ -72,6 +72,11 @@ __all__ = [
 
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
 
+# The most points build_erf_table tabulates: 1000 times the default table,
+# and about 8 MiB per array.  A larger count is refused before anything is
+# allocated (a step of 1e-12 would ask for about 1e13 points).
+_MAX_TABLE_POINTS = 10**6
+
 
 @dataclass(frozen=True)
 class PeakEstimate:
@@ -139,13 +144,17 @@ def build_erf_table(k_start: float, k_step: float, k_count: int) -> ErfTable:
     """Tabulate ``erf(k / sqrt 2)`` on ``k = k_start + j * k_step``.
 
     Values come from :func:`math.erf`, accurate to about one ulp and never
-    above 1.0; they saturate to exactly 1.0 near k ~ 8.3.
+    above 1.0; they saturate to exactly 1.0 near k ~ 8.3.  A ``k_count``
+    above ``_MAX_TABLE_POINTS`` (10^6) is an :class:`InvalidGridError`.
     """
     if k_start <= 0 or k_step <= 0 or k_count < 1:
         raise InvalidGridError(
             f"k grid must be positive and increasing, got start={k_start}, "
             f"step={k_step}, count={k_count}"
         )
+    if k_count > _MAX_TABLE_POINTS:
+        raise InvalidGridError(
+            f"k grid must have at most {_MAX_TABLE_POINTS} points, got {k_count}")
     k = k_start + k_step * np.arange(k_count)
     values = np.array([math.erf(kj / math.sqrt(2.0)) for kj in k.tolist()])
     return ErfTable(k=k, values=values)
@@ -240,7 +249,8 @@ def partial_areas(block: SignalBlock, n_hat: list) -> list:
     for row, i in zip(y, n_hat):
         if not 0 <= i <= n - 1:
             raise InvalidGridError(f"n_hat must be in [0, {n - 1}], got {i}")
-        areas.append(PartialAreas(dx * float(np.sum(row[:i])), dx * float(np.sum(row[i:]))))
+        areas.append(PartialAreas(dx * float(np.add.reduce(row[:i])),
+                                  dx * float(np.add.reduce(row[i:]))))
     return areas
 
 
@@ -313,7 +323,7 @@ def rho_from_samples(block: SignalBlock, mu_hat: list) -> list:
     for row, start, denom in zip(contrib, [_nearest_index(block, m) for m in mu.tolist()],
                                  contrib.sum(axis=1).tolist()):
         if math.isfinite(denom) and denom > 0:
-            rhos.append(min(max(float(np.sum(row[start:])) / denom, 0.0), 1.0))
+            rhos.append(min(max(float(np.add.reduce(row[start:])) / denom, 0.0), 1.0))
         else:
             rhos.append(DegenerateRhoError(f"weight denominator is {denom!r}",
                                            stage="rho_from_samples"))

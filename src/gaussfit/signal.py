@@ -391,11 +391,12 @@ def read_two_column_csv(
     :func:`write_signal_csv`, ``write_erf_table_csv`` and ``np.savetxt``
     write -- the exact header, then lines of two cells made only of ASCII
     digits, ``.``, ``e``, ``E``, ``+`` and ``-``, split by one comma and
-    each ended by ``\n`` -- has all its cells converted by one ``np.array``
-    call (see :func:`_plain_cells`).  Every other file, and a plain one
-    whose conversion is refused, goes through :func:`_split_cells`: the text is
-    split into lines, all cells are converted at once by ``float``, and
-    only when that fails is the first bad row looked for.
+    each ended by ``\n`` -- has all its cells converted at once, read as
+    one JSON array by orjson (see :func:`_plain_cells`).  Every other
+    file, and a plain one whose conversion is refused, goes through
+    :func:`_split_cells`: the text is split into lines, all cells are
+    converted at once by ``float``, and only when that fails is the first
+    bad row looked for.
     """
     with open(path, "rb") as fh:
         data = fh.read()
@@ -425,20 +426,29 @@ def _plain_cells(body: bytes) -> np.ndarray | None:
     """The cells of a plain ``body`` in file order, or ``None`` when its
     conversion is refused.
 
-    numpy converts each cell as ``float`` does and raises ``ValueError``
-    at the first cell ``float`` refuses, so that error, a wrong count (a
-    body without its final ``\n``) and a non-finite value all refuse.
-    The plain form rules out underscores, non-ASCII digits, blanks and
-    every line break ``str.splitlines`` knows but ``\n``, on which the
-    two routes could split or convert differently.
+    The cells are read as one JSON array by orjson, whose number reader
+    rounds correctly, as ``float`` does.  JSON's number grammar is a
+    subset of what ``float`` accepts, so every cell it refuses (``1.``,
+    ``.5``, ``+1``, ``01``, an overflow such as ``1e400``) and every
+    malformed body refuse; so do a wrong count (a body without its final
+    ``\n``), a non-finite value and the bare cell ``-0``, which JSON reads
+    as the integer 0 without its sign.  The plain form rules out
+    underscores, non-ASCII digits, blanks and every line break
+    ``str.splitlines`` knows but ``\n``, on which the two routes could
+    split or convert differently.
     """
     separators = body.translate(None, _PLAIN_CELL_CHARS)
     rows = len(separators) // 2
     if not rows or separators != b",\n" * rows:
         return None
+    cells = b"[" + body[:-1].replace(b"\n", b",") + b"]"
+    if cells.startswith(b"[-0,") or b",-0," in cells or cells.endswith(b",-0]"):
+        return None
+    import orjson  # here, so that importing gaussfit does not load it
+
     try:
-        values = np.array(body.replace(b"\n", b",")[:-1].split(b","), dtype=np.float64)
-    except ValueError:
+        values = np.array(orjson.loads(cells), dtype=np.float64)
+    except orjson.JSONDecodeError:
         return None
     if values.size != 2 * rows or not np.isfinite(values).all():
         return None

@@ -135,6 +135,16 @@ def test_config_validation():
     with pytest.raises(GaussFitError, match="finite number of points"):
         BenchConfig(trials=1, master_seed=1, snr_start_db=-1e308, snr_step_db=1.0,
                     snr_stop_db=1e308)
+    # finite counts above the ceiling are refused before the grid is built
+    at_ceiling = BenchConfig(trials=1, master_seed=1, snr_start_db=0.0,
+                             snr_step_db=1e-3, snr_stop_db=99.999)
+    assert len(at_ceiling.snr_grid_db) == 10**5
+    with pytest.raises(GaussFitError, match="at most 100000"):
+        BenchConfig(trials=1, master_seed=1, snr_start_db=0.0, snr_step_db=1e-3,
+                    snr_stop_db=100.0)
+    with pytest.raises(GaussFitError, match="at most"):
+        BenchConfig(trials=1, master_seed=1, snr_start_db=0.0, snr_step_db=1e-9,
+                    snr_stop_db=1.0)
     cfg = BenchConfig(trials=1, master_seed=1)
     assert _N_SAMPLES == 1001
     assert len(cfg.snr_grid_db) == 61

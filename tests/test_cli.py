@@ -1,5 +1,6 @@
 """End-to-end tests of the command line interface (subprocess level)."""
 
+import ast
 import contextlib
 import io
 import json
@@ -294,6 +295,9 @@ _BAD_NUMBERS = {
     "kmax_inf": ("erftable", "--kmax", "inf"),
     "k_count_inf": ("erftable", "--kmin", "1e-300", "--kstep", "1e-300",
                     "--kmax", "1e300"),
+    # finite point counts above the ceilings, refused before anything is built
+    "snr_count_huge": ("bench", "snr", "--trials", "1", "--snr=0:1e-9:1"),
+    "k_count_huge": ("erftable", "--kstep", "1e-12"),
 }
 
 
@@ -457,6 +461,42 @@ def test_library_bench_loads_neither_process_pool_nor_cli():
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+def test_import_does_not_load_orjson():
+    """orjson is imported by the first plain CSV read, not by ``import
+    gaussfit``: at module level it would add to every process's start-up
+    time and memory, the Monte Carlo runs' included, which read no CSV."""
+    env = dict(os.environ, PYTHONPATH=SRC)
+    res = subprocess.run([sys.executable, "-c",
+                          "import sys, gaussfit; print('orjson' in sys.modules)"],
+                         capture_output=True, text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert res.stdout == "False\n"
+
+
+def test_third_party_imports_are_declared():
+    """Every third-party module the package imports, at module level or
+    inside a function, is a ``[project].dependencies`` entry of
+    ``pyproject.toml``."""
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11+
+    root = os.path.dirname(SRC)
+    with open(os.path.join(root, "pyproject.toml"), "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower().replace("-", "_")
+                    for dep in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    package = os.path.join(SRC, "gaussfit")
+    for name in os.listdir(package):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), encoding="utf-8") as fh:
+                tree = ast.parse(fh.read(), name)
+            for node in ast.walk(tree):
+                if isinstance(node, ast.Import):
+                    imported.update(alias.name.split(".")[0] for alias in node.names)
+                elif isinstance(node, ast.ImportFrom) and not node.level:
+                    imported.add(node.module.split(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"gaussfit"}
+    assert {"numpy", "orjson"} <= third_party <= declared
 
 
 def test_readme_python_blocks_run():

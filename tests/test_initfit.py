@@ -223,6 +223,11 @@ def test_erf_table_grid_validation():
         build_erf_table(0.1, 0.0, 10)
     with pytest.raises(InvalidGridError):
         build_erf_table(0.1, 0.01, 0)
+    # point counts above the ceiling are refused before anything is allocated
+    with pytest.raises(InvalidGridError, match="at most 1000000 points"):
+        build_erf_table(0.1, 1e-6, 10**6 + 1)
+    with pytest.raises(InvalidGridError, match="at most"):
+        build_erf_table(0.1, 1e-12, 10**13)
     with pytest.raises(InvalidGridError):
         ErfTable(k=np.array([0.2, 0.1]), values=np.array([0.1, 0.2]))
 

@@ -277,6 +277,11 @@ def test_signal_csv_cells_parse_like_float(tmp_path):
     path.write_text("x,y\n0,1\n1,2\n2.5,3\n")
     with pytest.raises(ParseError, match=r"step 1\.5 vs delta_x 1\.0"):
         read_signal_csv(path)
+    # a plain file's bare -0 keeps its sign, as float("-0") does
+    path.write_text("x,y\n-0,1\n1,-0\n2,-0.0\n")
+    sig = read_signal_csv(path)
+    assert np.signbit(sig.samples).tolist() == [False, True, True]
+    assert math.copysign(1.0, sig.x0) == -1.0
 
 
 @pytest.mark.parametrize("delta_x, x0", [(1e-4, 1000.0), (1e-3, 1e5)])
@@ -371,7 +376,9 @@ def _numbers(draw, n):
                          min_size=n, max_size=n))
 
 
-_FORMATS = ("{:.17g}".format, repr, "{:.3f}".format, "{:.6g}".format)
+# "{:.0f}" writes integers of up to 309 digits, and "-0" for small negatives
+_FORMATS = ("{:.17g}".format, repr, "{:.3f}".format, "{:.6g}".format,
+            "{:.0f}".format, "{:.25e}".format)
 
 # what gets inserted at a random place, and what replaces a whole cell
 _INSERTS = ("_", "\u0662", "\r", "\r\n", "\x0b", "\x0c", "\x1c", "\x85", " ",
@@ -424,10 +431,15 @@ def _csv_texts(draw):
 
 # texts the two routes could read differently: a vertical tab that
 # splitlines breaks at, an overflowing cell, rows of three and one cells,
-# a last cell that only starts with a number, and no final newline
+# a last cell that only starts with a number, no final newline, a bare -0
+# (JSON reads it without its sign), cells float reads but JSON does not,
+# and an integer too large for a double
 _TRICKY_TEXTS = ("x,y\n0,1\x0b\n1,2\n2,3\n", "x,y\n0 ,1\n1\x0c,2\n2,3\n",
                  "x,y\n0,1\n1,1e400\n2,3\n", "x,y\n0,1,2\n3\n4,5\n",
-                 "x,y\n0,1\n1,2\n2,3e\n", "x,y\n0,1\n1,2\n2,3")
+                 "x,y\n0,1\n1,2\n2,3e\n", "x,y\n0,1\n1,2\n2,3",
+                 "x,y\n-0,1\n1,-0\n2,-0\n", "x,y\n0,1.\n1,2\n2,3\n",
+                 "x,y\n0,+1\n1,2\n2,3\n", "x,y\n0,01\n1,2\n2,3\n",
+                 "x,y\n0,1\n1," + "7" * 400 + "\n2,3\n")
 
 
 @pytest.fixture(scope="module")
