@@ -13,7 +13,6 @@ from .bench import (
     BenchConfig,
     BenchReport,
     BenchRow,
-    mse_aggregate,
     run_bench_iters,
     run_bench_snr,
     write_report_csv,
@@ -38,7 +37,6 @@ from .errors import (
 )
 from .initfit import (
     ErfTable,
-    InitConfig,
     PartialAreas,
     PeakEstimate,
     build_erf_table,
@@ -55,7 +53,7 @@ from .initfit import (
     windowed_peak,
     write_erf_table_csv,
 )
-from .linfit import weighted_ls_solve, weights_from_params, wls_trace, wls_traces
+from .linfit import weights_from_params, wls_trace, wls_traces
 from .methods import (
     METHOD_IDS,
     MethodSpec,
@@ -63,6 +61,7 @@ from .methods import (
     run_method,
     stage_one,
     start_weights,
+    trace_block,
 )
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult, WlsStep, WlsTrace
 from .signal import (
@@ -77,6 +76,7 @@ from .signal import (
     log_transform,
     params_from_coeffs,
     read_signal_csv,
+    read_two_column_csv,
     sample_gaussian,
     write_signal_csv,
 )

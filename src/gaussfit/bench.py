@@ -20,17 +20,18 @@ Trials run in chunks of ``_CHUNK``: a chunk's truths and noise are drawn
 as one :class:`gaussfit.signal.SignalBlock`, and every method then fits
 the whole chunk.  Both shapes run one loop over a sweep point's chunks,
 which scores every method at a tuple of iteration counts: ``iter_sweep``
-in the iteration sweep, the method's own count (``stage2_iters``, or
-``m5_iters`` for M5) in the SNR sweep.  M1 and M3 run on a chunk's rows
-one trial at a time through :func:`gaussfit.methods.run_method`, and
-their outcome scores at every count.  M2, M4 and M5 trace the chunk with
-one :func:`gaussfit.methods.trace_block` of the largest count, so the
+in the iteration sweep, the ``iters`` of the method's
+:meth:`BenchConfig.method_spec` in the SNR sweep.  M1 and M3 run on a
+chunk's rows one trial at a time through
+:func:`gaussfit.methods.run_method`, and their outcome scores at every
+count.  M2, M4 and M5 trace the chunk with one
+:func:`gaussfit.methods.trace_block` of the largest count, so the
 reweighting of all its rows is one :func:`gaussfit.linfit.wls_traces`
 kernel call, and each count scores the iterate it ends on, which is what
 ``run_method`` returns (or raises on) with that many iterations.
 Stage 1 runs once over the block, when the first row asks
 (:func:`gaussfit.methods.stage_one`; M1 for M1 and M2, the split-area
-fit for M3 and M4 when their ``init`` is equal).  Every row equals the
+fit for M3 and M4 when their ``window_l`` is equal).  Every row equals the
 trial computed alone, so the reports do not depend on the chunk size.
 With ``timing`` on, stage 1 is run and timed ahead of the chunk's
 trials, a trace's time is shared equally by its rows, and a method
@@ -61,7 +62,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import rng
-from .errors import GaussFitError, ShapeError, SingularSystemError, UnknownMethodError
+from .errors import GaussFitError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, default_erf_table
 from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, trace_block
 from .results import CONVERGED
@@ -73,7 +74,6 @@ __all__ = [
     "BenchReport",
     "run_bench_snr",
     "run_bench_iters",
-    "mse_aggregate",
     "write_report_csv",
 ]
 
@@ -163,8 +163,10 @@ class BenchConfig:
         return tuple(self.snr_start_db + j * self.snr_step_db for j in range(count))
 
     def method_spec(self, method_id: str) -> MethodSpec:
-        return MethodSpec(method_id=method_id, stage2_iters=self.stage2_iters,
-                          m5_iters=self.m5_iters)
+        """The spec of ``method_id``: ``m5_iters`` iterations for M5,
+        ``stage2_iters`` for the others."""
+        iters = self.m5_iters if method_id == "M5" else self.stage2_iters
+        return MethodSpec(method_id=method_id, iters=iters)
 
 
 @dataclass(frozen=True)
@@ -201,20 +203,6 @@ class BenchReport:
         return self.cell(method, sweep, PARAM_NAMES[0]).mean_time_us
 
 
-def mse_aggregate(estimates, truths) -> tuple[float, float, float]:
-    """Component-wise mean squared error over paired parameter triples."""
-    est = list(estimates)
-    tru = list(truths)
-    if len(est) != len(tru):
-        raise ShapeError(f"length mismatch: {len(est)} estimates vs {len(tru)} truths")
-    if not est:
-        raise ShapeError("need at least one pair")
-    cell = _CellAccumulator()
-    for e, t in zip(est, tru):
-        cell.record(e, t, True)
-    return tuple(cell.mse())
-
-
 def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
     """Yield ``(block, truths, seeds)`` for each chunk of trials, drawn from
     the trials' derived seeds; row ``i`` is the trial of ``seeds[i]``."""
@@ -248,12 +236,12 @@ def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
                       rows: int) -> list[float]:
     """Run stage 1 of every spec on ``signal``'s block ahead of its trials;
     per spec, the seconds per row of the run it shares (M2 that of M1, M4
-    that of M3 with an equal ``init``)."""
+    that of M3 with an equal ``window_l``)."""
     measured: dict = {}
     shares = []
     for spec in specs:
         family = {"M2": "M1", "M4": "M3"}.get(spec.method_id, spec.method_id)
-        key = (family, spec.init if family == "M3" else None)
+        key = (family, spec.window_l if family == "M3" else None)
         if key not in measured:
             t0 = time.perf_counter()
             stage_one(spec, signal, table)
@@ -397,14 +385,12 @@ def run_bench_snr(config: BenchConfig, table: ErfTable | None = None) -> BenchRe
 
     All methods inside a trial see the same noisy signal, which removes
     between-method noise variance from the comparison.  Each method is
-    scored at its own iteration count (``m5_iters`` for M5,
-    ``stage2_iters`` for the others).
+    scored at the ``iters`` of its :meth:`BenchConfig.method_spec`.
     """
     if table is None:
         table = default_erf_table()
     grid = config.snr_grid_db
-    counts = {mid: (config.m5_iters if mid == "M5" else config.stage2_iters,)
-              for mid in config.methods}
+    counts = {mid: (config.method_spec(mid).iters,) for mid in config.methods}
     tasks = [(config, table, j, snr_db, counts) for j, snr_db in enumerate(grid)]
     if config.workers > 1 and len(tasks) > 1:
         # imported here: loading the process pool costs about 2 MiB of memory

@@ -22,7 +22,6 @@ import sys
 from .bench import BenchConfig, run_bench_iters, run_bench_snr, write_report_csv
 from .errors import GaussFitError, InvalidGridError, ParseError
 from .initfit import (
-    InitConfig,
     build_erf_table,
     default_erf_table,
     read_erf_table_csv,
@@ -152,12 +151,8 @@ def _cmd_fit(args) -> int:
             raise GaussFitError(f"--clamp-floor must be > 0, got {args.clamp_floor}")
         if args.iters is not None and args.iters < 1:
             raise GaussFitError(f"--iters must be >= 1, got {args.iters}")
-        init = InitConfig(window_l=args.window_l)
-        kwargs = {"init": init, "clamp_floor": args.clamp_floor}
-        if args.iters is not None:
-            kwargs["stage2_iters"] = args.iters
-            kwargs["m5_iters"] = args.iters
-        spec = MethodSpec(method_id=args.method, **kwargs)
+        spec = MethodSpec(args.method, iters=args.iters, window_l=args.window_l,
+                          clamp_floor=args.clamp_floor)
         table = (default_erf_table() if args.erf_table is None
                  else read_erf_table_csv(args.erf_table))
     except (OSError, GaussFitError) as err:

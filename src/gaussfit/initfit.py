@@ -54,7 +54,6 @@ __all__ = [
     "PeakEstimate",
     "PartialAreas",
     "ErfTable",
-    "InitConfig",
     "naive_peak",
     "sigma_area_m1",
     "windowed_peak",
@@ -93,17 +92,6 @@ class PartialAreas:
 
     s_beta: float   # n = 0 .. n_hat-1
     s_alpha: float  # n = n_hat .. N-1
-
-
-@dataclass(frozen=True)
-class InitConfig:
-    """Tunables of the split-area initializer."""
-
-    window_l: int = 3
-
-    def __post_init__(self):
-        if self.window_l < 1:
-            raise InvalidWindowError(f"window_l must be >= 1, got {self.window_l}")
 
 
 @dataclass
@@ -384,10 +372,11 @@ def refine_amplitude(block: SignalBlock, mu_hat: list, sigma_hat: list) -> list:
 
 def m3_initial_fit(
     signal: SampledSignal,
-    config: InitConfig,
+    window_l: int,
     table: ErfTable,
 ) -> FitResult:
-    """Full split-area initializer.
+    """Full split-area initializer, with a peak-pick window of ``window_l``
+    samples.
 
     Pipeline: windowed peak -> split areas at the peak -> one-sided width
     estimates through the table -> convex combination with the sample
@@ -397,14 +386,14 @@ def m3_initial_fit(
     ``degenerate-fallback``.
 
     On a row of a :class:`SignalBlock` the whole block is fitted the first
-    time one of its rows asks with this ``config`` and ``table``, and the
+    time one of its rows asks with this ``window_l`` and ``table``, and the
     other rows read their outcome; a signal of its own is a block of one.
     """
     block, i = SignalBlock.containing(signal)
     # the entry holds the table, so its id cannot pass to a new table
     # while the entry lives
-    _, outcomes = block.once(("m3", config, id(table)),
-                             lambda: (table, _m3_initial_fit_block(block, config, table)))
+    _, outcomes = block.once(("m3", window_l, id(table)),
+                             lambda: (table, _m3_initial_fit_block(block, window_l, table)))
     if isinstance(outcomes[i], GaussFitError):
         raise outcomes[i]
     return outcomes[i]
@@ -412,7 +401,7 @@ def m3_initial_fit(
 
 def _m3_initial_fit_block(
     block: SignalBlock,
-    config: InitConfig,
+    window_l: int,
     table: ErfTable,
 ) -> list:
     """:func:`m3_initial_fit` of every row: its :class:`FitResult`, or the
@@ -426,7 +415,7 @@ def _m3_initial_fit_block(
     over the block, with a NaN width for the rows already decided.
     """
     try:
-        peaks = windowed_peak(block, config.window_l)
+        peaks = windowed_peak(block, window_l)
     except InvalidWindowError as err:
         return [err] * len(block)
     dx, n = block.delta_x, block.samples.shape[1]

@@ -10,9 +10,9 @@ objective.
 One kernel, :func:`wls_traces`, runs the reweighting iteration on every
 row of a :class:`gaussfit.signal.SignalBlock` at once and returns one
 entry per row: the row's trace, or the error that ended it.
-:func:`wls_trace` is the kernel on a block of one, and
-:func:`weighted_ls_solve` is its first iteration (plain least squares is
-``params_from_coeffs(weighted_ls_solve(signal, np.ones(n), floor))``).
+:func:`wls_trace` is the kernel on a block of one.  Its first iterate is
+one weighted solve: plain least squares is
+``wls_trace(signal, np.ones(n), 1, floor)[0]``.
 
 Only a 3x3 system ever arises.  The normal equations are formed on the
 grid centered at its midpoint, ``t = x - m``, which tames the
@@ -67,7 +67,7 @@ from .signal import (
     resolve_clamp_floor,
 )
 
-__all__ = ["weighted_ls_solve", "weights_from_params", "wls_trace", "wls_traces"]
+__all__ = ["weights_from_params", "wls_trace", "wls_traces"]
 
 # Pivot threshold relative to the largest normal-matrix entry.
 _PIVOT_RTOL = 100.0 * np.finfo(np.float64).eps
@@ -305,20 +305,6 @@ def wls_trace(
     if isinstance(entry, GaussFitError):
         raise entry
     return entry
-
-
-def weighted_ls_solve(
-    signal: SampledSignal,
-    weights,
-    clamp_floor: float | None = None,
-) -> LogPolyCoeffs:
-    """Minimize ``sum w[n]^2 (ln y[n] - a - b x - c x^2)^2``: iteration 0
-    of :func:`wls_trace`.
-
-    Raises :class:`SingularSystemError` when fewer than three samples have
-    positive weight (the weighted system is rank deficient).
-    """
-    return wls_trace(signal, weights, 1, clamp_floor)[0].coeffs
 
 
 def weights_from_params(coeffs: LogPolyCoeffs, grid: np.ndarray) -> np.ndarray:

@@ -10,6 +10,10 @@ M5     iterative reweighted LS seeded with the clamped samples
        themselves as weights (default 12 iters)
 =====  ==========================================================
 
+A :class:`MethodSpec` names the pipeline and holds only the values the
+pipelines read: one iteration count, the peak-pick window and the log
+clamp floor.
+
 M2, M4 and M5 are one reweighting iteration started from three weight
 vectors; :func:`start_weights` builds the start from the stage-1 outcome
 of :func:`stage_one`.  The two-stage methods start from the Gaussian
@@ -34,7 +38,7 @@ builds its result the way :func:`fit_block` does.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,11 +46,11 @@ from .errors import (
     GaussFitError,
     InvalidParamsError,
     InvalidWidthError,
+    InvalidWindowError,
     UnknownMethodError,
 )
 from .initfit import (
     ErfTable,
-    InitConfig,
     PeakEstimate,
     m3_initial_fit,
     naive_peak,
@@ -75,24 +79,36 @@ __all__ = [
 
 METHOD_IDS = ("M1", "M2", "M3", "M4", "M5")
 
+# Reweighting iterations when ``MethodSpec.iters`` is None.
+_DEFAULT_ITERS = {"M2": 2, "M4": 2, "M5": 12}
+
 
 @dataclass(frozen=True)
 class MethodSpec:
-    """Which pipeline to run and with what knobs."""
+    """Which pipeline to run and the values it reads.
+
+    ``iters`` is the reweighting iteration count of M2, M4 and M5 (None:
+    2 for M2 and M4, 12 for M5; M1 and M3 do not iterate).  ``window_l``
+    is the moving-average window of the split-area peak pick of M3 and
+    M4, and ``clamp_floor`` the log clamp floor of M2, M4 and M5 (None:
+    each signal's default floor).
+    """
 
     method_id: str
-    stage2_iters: int = 2
-    m5_iters: int = 12
-    init: InitConfig = field(default_factory=InitConfig)
+    iters: int | None = None
+    window_l: int = 3
     clamp_floor: float | None = None
 
     def __post_init__(self):
         if self.method_id not in METHOD_IDS:
             raise UnknownMethodError(f"unknown method id {self.method_id!r}")
-        if self.method_id in ("M2", "M4") and self.stage2_iters < 1:
-            raise GaussFitError(f"stage2_iters must be >= 1, got {self.stage2_iters}")
-        if self.method_id == "M5" and self.m5_iters < 1:
-            raise GaussFitError(f"m5_iters must be >= 1, got {self.m5_iters}")
+        if self.method_id in _DEFAULT_ITERS:
+            if self.iters is None:
+                object.__setattr__(self, "iters", _DEFAULT_ITERS[self.method_id])
+            elif self.iters < 1:
+                raise GaussFitError(f"iters must be >= 1, got {self.iters}")
+        if self.window_l < 1:
+            raise InvalidWindowError(f"window_l must be >= 1, got {self.window_l}")
 
 
 def _m1_block(block: SignalBlock) -> list:
@@ -115,13 +131,13 @@ def _m1_block(block: SignalBlock) -> list:
 
 def stage_one(spec: MethodSpec, signal: SampledSignal, table: ErfTable):
     """Stage-1 outcome of ``signal`` for ``spec``: the M1 fit (M1, M2) or
-    the split-area fit with ``spec.init`` (M3, M4), each a
+    the split-area fit with ``spec.window_l`` (M3, M4), each a
     :class:`FitResult` or the :class:`GaussFitError` it raised; ``None``
     for M5, which has no stage 1.
 
     On a row of a :class:`SignalBlock` the stage runs once for the whole
     block, and every later call for one of its rows with the same stage
-    (M1 and M2 share one, M3 and M4 one per ``init``) reads its outcome.
+    (M1 and M2 share one, M3 and M4 one per ``window_l``) reads its outcome.
     """
     mid = spec.method_id
     if mid in ("M1", "M2"):
@@ -129,7 +145,7 @@ def stage_one(spec: MethodSpec, signal: SampledSignal, table: ErfTable):
         return block.once(("m1",), lambda: _m1_block(block))[i]
     if mid in ("M3", "M4"):
         try:
-            return m3_initial_fit(signal, spec.init, table)
+            return m3_initial_fit(signal, spec.window_l, table)
         except GaussFitError as err:
             return err
     return None
@@ -161,10 +177,6 @@ def start_weights(
         return w0, stage1.status, diagnostics
     floor = resolve_clamp_floor(signal, spec.clamp_floor)
     return np.exp(log_transform(signal, floor)), status, diagnostics
-
-
-def _iterations(spec: MethodSpec) -> int:
-    return spec.m5_iters if spec.method_id == "M5" else spec.stage2_iters
 
 
 def _reweighted_fit(spec: MethodSpec, trace: list, status: str, diagnostics: dict):
@@ -224,7 +236,7 @@ def fit_block(spec: MethodSpec, block: SignalBlock, table: ErfTable) -> list:
     return [trace if isinstance(trace, GaussFitError)
             else _reweighted_fit(spec, trace, status, diagnostics)
             for trace, status, diagnostics in trace_block(spec, block, table,
-                                                          _iterations(spec))]
+                                                          spec.iters)]
 
 
 def run_method(
@@ -240,14 +252,14 @@ def run_method(
     """
     mid = spec.method_id
     if mid == "M3":
-        return m3_initial_fit(signal, spec.init, table)
+        return m3_initial_fit(signal, spec.window_l, table)
     stage1 = stage_one(spec, signal, table)
     if mid == "M1":
         if isinstance(stage1, GaussFitError):
             raise stage1
         return stage1
     w0, status, diagnostics = start_weights(spec, signal, stage1)
-    fit = _reweighted_fit(spec, wls_trace(signal, w0, _iterations(spec), spec.clamp_floor),
+    fit = _reweighted_fit(spec, wls_trace(signal, w0, spec.iters, spec.clamp_floor),
                           status, diagnostics)
     if isinstance(fit, GaussFitError):
         raise fit

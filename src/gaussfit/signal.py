@@ -337,12 +337,19 @@ def default_clamp_floor(signal: SampledSignal) -> float:
     """Default log-clamp floor: ``max(y) * 1e-6``.
 
     Requires a strictly positive maximum; a signal with no positive sample
-    has no usable floor (and no fittable peak either).
+    has no usable floor (and no fittable peak either), and neither has one
+    whose maximum is so small (below about 2.5e-318) that the product
+    underflows to 0.
     """
     top = float(np.max(signal.samples))
     if top <= 0 or not math.isfinite(top):
         raise InvalidClampError("no positive sample to derive a clamp floor from")
-    return top * DEFAULT_CLAMP_RATIO
+    floor = top * DEFAULT_CLAMP_RATIO
+    if floor <= 0:
+        raise InvalidClampError(
+            f"default clamp floor max(y) * {DEFAULT_CLAMP_RATIO:g} underflows to 0"
+            f" (max(y) = {top!r})")
+    return floor
 
 
 def resolve_clamp_floor(signal: SampledSignal, clamp_floor: float | None) -> float:

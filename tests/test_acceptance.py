@@ -20,7 +20,6 @@ from gaussfit import (
     CrlbQuery,
     GaussFitError,
     GaussianParams,
-    InitConfig,
     NoiseSpec,
     SampledSignal,
     SignalBlock,
@@ -116,7 +115,7 @@ def test_criterion_1_noiseless_exactness(erf_table):
         and abs(fit_ls.params.sigma - 1.3) <= 1.3e-6
     )
 
-    fit_m5 = run_method(MethodSpec("M5", m5_iters=1), sig, erf_table)
+    fit_m5 = run_method(MethodSpec("M5", iters=1), sig, erf_table)
     m5_ok = (
         abs(fit_m5.params.amplitude - 1.0) <= 1e-6
         and abs(fit_m5.params.mu - 9.0) <= 9e-6
@@ -170,7 +169,7 @@ def test_criterion_2_erf_table_oracle(erf_table):
 def test_criterion_3_full_sum_width_bias(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
     est_m1, = sigma_area_m1(SignalBlock.of(sig), [1.0])
-    fit_m3 = m3_initial_fit(sig, InitConfig(), erf_table)
+    fit_m3 = m3_initial_fit(sig, 3, erf_table)
     m1_ok = abs(est_m1 - 1.013) <= 0.005
     m3_ok = abs(fit_m3.params.sigma - 1.3) / 1.3 <= 0.005
     ok = m1_ok and m3_ok

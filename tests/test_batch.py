@@ -21,7 +21,6 @@ from gaussfit import (
     DegenerateRhoError,
     GaussFitError,
     GaussianParams,
-    InitConfig,
     InvalidParamsError,
     InvalidWidthError,
     InvalidWindowError,
@@ -117,8 +116,8 @@ def _oracle_m1(sig):
                      diagnostics={"n_hat": n_hat})
 
 
-def _oracle_m3(sig, config, table):
-    y, dx, n, window = sig.samples, sig.delta_x, len(sig), config.window_l
+def _oracle_m3(sig, window, table):
+    y, dx, n = sig.samples, sig.delta_x, len(sig)
     if not 1 <= window <= n - 1:
         raise InvalidWindowError(f"window_l must be in [1, {n - 1}], got {window}",
                                  stage="windowed_peak")
@@ -278,27 +277,26 @@ def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
                                              monkeypatch):
     config = BenchConfig(trials=13, master_seed=3)
     m1 = MethodSpec("M1")
-    m3 = MethodSpec("M3", init=InitConfig(window_l=window_l))
     for chunk in (1, 3, 8):
         for block, _, _ in _blocks(config, snr_db, chunk, monkeypatch):
             got_m1 = _rows(block, m1, erf_table)
-            got_m3 = initfit._m3_initial_fit_block(block, m3.init, erf_table)
-            got_m4 = _rows(block, MethodSpec("M4", init=m3.init), erf_table)
+            got_m3 = initfit._m3_initial_fit_block(block, window_l, erf_table)
+            got_m4 = _rows(block, MethodSpec("M4", window_l=window_l), erf_table)
             assert [_key(g) for g in got_m4] == [_key(g) for g in got_m3]
             for i in range(len(block)):
                 sig = block.row(i)
                 assert _key(got_m1[i]) == _key(_outcome(_oracle_m1, sig))
-                assert _key(got_m3[i]) == _key(_outcome(_oracle_m3, sig, m3.init,
+                assert _key(got_m3[i]) == _key(_outcome(_oracle_m3, sig, window_l,
                                                         erf_table))
                 alone = _alone(sig)
                 assert _key(got_m1[i]) == _key(_outcome(run_method, m1, alone, erf_table))
-                assert _key(got_m3[i]) == _key(_outcome(m3_initial_fit, alone, m3.init,
+                assert _key(got_m3[i]) == _key(_outcome(m3_initial_fit, alone, window_l,
                                                         erf_table))
 
 
 def test_rows_share_their_block_stage_one(erf_table):
     """Rows of a block read one stage-1 run: M2 the outcome of M1, M4 that
-    of M3 with an equal ``init``; another ``init`` runs its own."""
+    of M3 with an equal ``window_l``; another ``window_l`` runs its own."""
     block = sample_gaussian([GaussianParams(1.0, 8.0 + 0.1 * j, 1.2) for j in range(5)],
                             0.01, 1001, [NoiseSpec(6.0, j) for j in range(5)])
     row = block.row(3)
@@ -306,11 +304,10 @@ def test_rows_share_their_block_stage_one(erf_table):
         MethodSpec("M1"), block.row(3), erf_table)
     m3 = stage_one(MethodSpec("M3"), row, erf_table)
     assert stage_one(MethodSpec("M4"), block.row(3), erf_table) is m3
-    assert m3_initial_fit(row, InitConfig(), erf_table) is m3
-    other = stage_one(MethodSpec("M4", init=InitConfig(window_l=5)), row, erf_table)
+    assert m3_initial_fit(row, 3, erf_table) is m3
+    other = stage_one(MethodSpec("M4", window_l=5), row, erf_table)
     assert other is not m3
-    assert _key(other) == _key(m3_initial_fit(_alone(row), InitConfig(window_l=5),
-                                              erf_table))
+    assert _key(other) == _key(m3_initial_fit(_alone(row), 5, erf_table))
     assert stage_one(MethodSpec("M5"), row, erf_table) is None
 
 
@@ -321,11 +318,11 @@ def test_a_new_table_gets_its_own_split_area_fit():
     block = sample_gaussian([GaussianParams(1.0, 8.0 + 0.3 * j, 1.2) for j in range(3)],
                             0.01, 1001, [NoiseSpec(12.0, j) for j in range(3)])
     row = block.row(0)
-    m3_initial_fit(row, InitConfig(), build_erf_table(0.1, 0.01, 991))  # freed at once
+    m3_initial_fit(row, 3, build_erf_table(0.1, 0.01, 991))  # freed at once
     for _ in range(50):
         small = build_erf_table(1.0, 0.5, 5)
-        assert _key(m3_initial_fit(row, InitConfig(), small)) == _key(
-            m3_initial_fit(_alone(row), InitConfig(), small))
+        assert _key(m3_initial_fit(row, 3, small)) == _key(
+            m3_initial_fit(_alone(row), 3, small))
 
 
 def test_stage_functions_take_a_block(erf_table, monkeypatch):
@@ -380,7 +377,6 @@ def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
     side, like a hand-made row whose sides both sum below zero.  Every such
     row of an 8-row block equals the oracle."""
     config = BenchConfig(trials=400, master_seed=3)
-    init = InitConfig()
     blocks = [block for snr_db in (-10.0, -3.0)
               for block, _, _ in _blocks(config, snr_db, 8, monkeypatch)]
     rare = _blocks(BenchConfig(trials=1896, master_seed=3), -10.0, 8, monkeypatch)
@@ -390,8 +386,8 @@ def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
         no_area, [0.1, 0.5, 1.0, 2.0, 1.0, 0.5, 0.1], no_area[::-1]])))
     kinds = set()
     for block in blocks:
-        for i, got in enumerate(initfit._m3_initial_fit_block(block, init, erf_table)):
-            assert _key(got) == _key(_outcome(_oracle_m3, block.row(i), init, erf_table))
+        for i, got in enumerate(initfit._m3_initial_fit_block(block, 3, erf_table)):
+            assert _key(got) == _key(_outcome(_oracle_m3, block.row(i), 3, erf_table))
             if isinstance(got, GaussFitError):
                 kinds.add(f"{type(got).__name__}/{got.stage}")
             else:
@@ -402,11 +398,10 @@ def test_error_and_fallback_rows_equal_scalar_oracle(erf_table, monkeypatch):
 
 def test_window_error_fills_every_row(erf_table):
     block = SignalBlock(delta_x=1.0, samples=np.ones((4, 3)))
-    outcomes = initfit._m3_initial_fit_block(block, InitConfig(window_l=3), erf_table)
+    outcomes = initfit._m3_initial_fit_block(block, 3, erf_table)
     assert len(outcomes) == 4
     for got in outcomes:
-        assert _key(got) == _key(_outcome(_oracle_m3, block.row(0), InitConfig(window_l=3),
-                                          erf_table))
+        assert _key(got) == _key(_outcome(_oracle_m3, block.row(0), 3, erf_table))
         assert got.stage == "windowed_peak"
 
 
@@ -556,11 +551,10 @@ def _blocks_of_signals(draw):
 def test_block_rows_equal_blocks_of_one(case):
     block, window_l = case
     table = _TABLE
-    init = InitConfig(window_l=window_l)
     m1 = _rows(block, MethodSpec("M1"), table)
-    m3 = initfit._m3_initial_fit_block(block, init, table)
+    m3 = initfit._m3_initial_fit_block(block, window_l, table)
     for i in range(len(block)):
         alone = _alone(block.row(i))
         assert _key(m1[i]) == _key(stage_one(MethodSpec("M1"), alone, table))
-        assert _key(m3[i]) == _key(_outcome(m3_initial_fit, alone, init, table))
-        assert _key(m3[i]) == _key(_outcome(_oracle_m3, alone, init, table))
+        assert _key(m3[i]) == _key(_outcome(m3_initial_fit, alone, window_l, table))
+        assert _key(m3[i]) == _key(_outcome(_oracle_m3, alone, window_l, table))

@@ -9,9 +9,7 @@ from gaussfit import (
     BenchConfig,
     GaussFitError,
     GaussianParams,
-    ShapeError,
     UnknownMethodError,
-    mse_aggregate,
     run_bench_iters,
     run_bench_snr,
     write_report_csv,
@@ -31,38 +29,6 @@ def _tiny_snr_config(**overrides):
     )
     base.update(overrides)
     return BenchConfig(**base)
-
-
-def test_mse_aggregate_zero_for_identical():
-    p = [GaussianParams(1.0, 5.0, 1.0), GaussianParams(2.0, 6.0, 1.5)]
-    assert mse_aggregate(p, p) == (0.0, 0.0, 0.0)
-
-
-def test_mse_aggregate_single_component():
-    a = [GaussianParams(1.0, 5.0, 1.1)]
-    b = [GaussianParams(1.0, 5.0, 1.0)]
-    mse = mse_aggregate(a, b)
-    assert mse[0] == 0.0
-    assert mse[1] == 0.0
-    assert mse[2] == pytest.approx(0.01, rel=1e-12)
-
-
-def test_mse_aggregate_order_invariant():
-    rngs = np.random.default_rng(3)
-    est = [GaussianParams(*(1 + rngs.uniform(0, 1, 3))) for _ in range(20)]
-    tru = [GaussianParams(*(1 + rngs.uniform(0, 1, 3))) for _ in range(20)]
-    forward = mse_aggregate(est, tru)
-    perm = rngs.permutation(20)
-    shuffled = mse_aggregate([est[i] for i in perm], [tru[i] for i in perm])
-    assert forward == pytest.approx(shuffled, rel=1e-12)
-
-
-def test_mse_aggregate_length_mismatch():
-    a = [GaussianParams(1.0, 5.0, 1.0)]
-    with pytest.raises(ShapeError):
-        mse_aggregate(a, a * 2)
-    with pytest.raises(ShapeError):
-        mse_aggregate([], [])
 
 
 def _array_mse(pairs):
@@ -88,6 +54,30 @@ def _running_mse(pairs):
     for est, tru in pairs:
         cell.record(est, tru, True)
     return np.array(cell.mse())
+
+
+def test_cell_mse_zero_for_identical():
+    p = [GaussianParams(1.0, 5.0, 1.0), GaussianParams(2.0, 6.0, 1.5)]
+    assert _running_mse(zip(p, p)).tolist() == [0.0, 0.0, 0.0]
+
+
+def test_cell_mse_single_component():
+    a = GaussianParams(1.0, 5.0, 1.1)
+    b = GaussianParams(1.0, 5.0, 1.0)
+    mse = _running_mse([(a, b)])
+    assert mse[0] == 0.0
+    assert mse[1] == 0.0
+    assert mse[2] == pytest.approx(0.01, rel=1e-12)
+
+
+def test_cell_mse_order_invariant():
+    rngs = np.random.default_rng(3)
+    est = [GaussianParams(*(1 + rngs.uniform(0, 1, 3))) for _ in range(20)]
+    tru = [GaussianParams(*(1 + rngs.uniform(0, 1, 3))) for _ in range(20)]
+    forward = _running_mse(zip(est, tru))
+    perm = rngs.permutation(20)
+    shuffled = _running_mse([(est[i], tru[i]) for i in perm])
+    assert forward == pytest.approx(shuffled, rel=1e-12)
 
 
 # zero, subnormal and near-overflow magnitudes, so that differences vanish,

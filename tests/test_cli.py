@@ -281,6 +281,13 @@ def test_fit_iters_below_one_is_usage_error_for_every_method(noiseless_csv):
         assert "--iters must be >= 1" in res.stderr, method
 
 
+def test_fit_window_below_one_is_usage_error(noiseless_csv):
+    res = _run("fit", "--input", str(noiseless_csv), "--method", "M4",
+               "--window-l", "0", "--output", "-")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "gaussfit: window_l must be >= 1, got 0\n"
+
+
 # Numbers that once ended in a traceback and exit 1: a non-finite value, a
 # grid point 0 * inf, and SNRs whose noise power overflows or underflows.
 _BAD_NUMBERS = {
@@ -314,7 +321,8 @@ def test_bad_numbers_are_usage_errors(argv, tmp_path):
 
 
 # Hostile but finite inputs: samples near the float maximum, samples whose
-# squares overflow, a grid near 1e300, an x step that overflows and a
+# squares overflow, subnormal samples whose default clamp floor underflows
+# to 0, a grid near 1e300, an x step that overflows and a
 # non-uniform one that overflows.  Each ends in a result or a typed error
 # and prints nothing but the program's own message.
 _HOSTILE = {
@@ -322,6 +330,8 @@ _HOSTILE = {
              [1e300, 3e307, 1e308, 5e307, 1e306, 2e300, 1e299]),
     "big": ([float(i) for i in range(7)],
             [1e158, 3e159, 1e160, 5e159, 1e158, 2e157, 1e156]),
+    "tiny": ([float(i) for i in range(7)],
+             [1e-321, 3e-320, 1e-319, 5e-320, 1e-321, 2e-322, 1e-323]),
     "far_x": ([1e300 + i * 1e290 for i in range(7)],
               [0.1, 0.5, 1.0, 0.6, 0.2, 0.05, 0.01]),
     "infinite_step": ([-1.5e308, 1.5e308, 1.6e308], [1.0, 2.0, 1.0]),
@@ -350,6 +360,8 @@ _HOSTILE_OUTCOMES = {
         "M5": (1.0214397019931097e+160, 2.1314069122928156, 0.717531631825866,
                "converged"),
     },
+    "tiny": {"M1": (1e-319, 2.0, 0.726889265581267, "converged"),
+             "M2": 3, "M3": 3, "M4": 3, "M5": 3},
     "far_x": {"M1": (1.0, 1.0000000002e+300, 9.813975580809336e+289, "converged"),
               "M2": 3, "M3": 3, "M4": 3, "M5": 3},
     "infinite_step": dict.fromkeys(("M1", "M2", "M3", "M4", "M5"), 2),
@@ -473,6 +485,35 @@ def test_import_does_not_load_orjson():
                          capture_output=True, text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "False\n"
+
+
+def test_package_exports_exactly_each_module_all():
+    """Every name in a module's ``__all__`` exists, and ``gaussfit``
+    re-exports exactly those names from that module, so a public name
+    cannot be missing from the package or linger in either list."""
+    import importlib
+
+    import gaussfit
+
+    with open(gaussfit.__file__, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    exported: dict = {}
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            exported.setdefault(node.module, set()).update(a.name for a in node.names)
+    checked = []
+    for name in sorted(os.listdir(os.path.dirname(gaussfit.__file__))):
+        stem = name.removesuffix(".py")
+        if stem == name or stem.startswith("_"):
+            continue
+        module = importlib.import_module(f"gaussfit.{stem}")
+        if not hasattr(module, "__all__"):
+            continue
+        for attr in module.__all__:
+            assert getattr(gaussfit, attr) is getattr(module, attr), (stem, attr)
+        assert exported.get(stem, set()) == set(module.__all__), stem
+        checked.append(stem)
+    assert checked
 
 
 def test_third_party_imports_are_declared():

@@ -14,7 +14,6 @@ from gaussfit import (
     ErfTable,
     GaussFitError,
     GaussianParams,
-    InitConfig,
     InvalidAmplitudeError,
     InvalidGridError,
     InvalidWindowError,
@@ -415,7 +414,7 @@ def test_refine_amplitude_rejects_bad_width():
 
 
 def test_m3_noiseless_long_tail(erf_table):
-    fit = m3_initial_fit(_noiseless(), InitConfig(), erf_table)
+    fit = m3_initial_fit(_noiseless(), 3, erf_table)
     assert fit.status == "converged"
     assert abs(fit.params.mu - 9.0) <= GRID_DX
     assert fit.params.sigma == pytest.approx(1.3, rel=0.005)
@@ -426,10 +425,10 @@ def test_m3_noiseless_long_tail(erf_table):
 
 def test_m3_scale_equivariance(erf_table):
     base = _noiseless()
-    fit1 = m3_initial_fit(base, InitConfig(), erf_table)
+    fit1 = m3_initial_fit(base, 3, erf_table)
     for kappa in (0.25, 40.0):
         scaled = SampledSignal(delta_x=GRID_DX, samples=kappa * base.samples)
-        fitk = m3_initial_fit(scaled, InitConfig(), erf_table)
+        fitk = m3_initial_fit(scaled, 3, erf_table)
         assert fitk.params.mu == fit1.params.mu
         assert fitk.params.sigma == pytest.approx(fit1.params.sigma, rel=1e-12)
         assert fitk.params.amplitude == pytest.approx(
@@ -438,9 +437,9 @@ def test_m3_scale_equivariance(erf_table):
 
 def test_m3_arbitrary_origin(erf_table):
     base = _noiseless()
-    fit0 = m3_initial_fit(base, InitConfig(), erf_table)
+    fit0 = m3_initial_fit(base, 3, erf_table)
     moved = SampledSignal(delta_x=GRID_DX, samples=base.samples, x0=4.0)
-    fitx = m3_initial_fit(moved, InitConfig(), erf_table)
+    fitx = m3_initial_fit(moved, 3, erf_table)
     assert fitx.params.mu == pytest.approx(fit0.params.mu + 4.0, abs=1e-9)
     assert fitx.params.sigma == fit0.params.sigma
     assert fitx.params.amplitude == pytest.approx(fit0.params.amplitude, rel=1e-12)
@@ -451,7 +450,7 @@ def test_m3_peak_on_edge_falls_back_one_sided(erf_table):
     must come from the right side alone with the fallback flagged."""
     ramp = GaussianParams(1.0, 0.0, 1.0)
     sig = sample_gaussian(ramp, GRID_DX, 500)
-    fit = m3_initial_fit(sig, InitConfig(window_l=1), erf_table)
+    fit = m3_initial_fit(sig, 1, erf_table)
     assert fit.status == "degenerate-fallback"
     assert fit.diagnostics["fallback"] == "alpha-only"
     assert fit.diagnostics["rho"] == 1.0
@@ -464,7 +463,7 @@ def test_m3_all_noise_never_crashes(erf_table):
     for _ in range(100):
         sig = SampledSignal(delta_x=0.01, samples=rngs.normal(0.0, 1.0, 200))
         try:
-            fit = m3_initial_fit(sig, InitConfig(), erf_table)
+            fit = m3_initial_fit(sig, 3, erf_table)
             assert fit.params.sigma > 0
             outcomes["ok"] += 1
         except GaussFitError:

@@ -24,7 +24,6 @@ from gaussfit import (
     params_from_coeffs,
     run_method,
     sample_gaussian,
-    weighted_ls_solve,
     weights_from_params,
     wls_trace,
     wls_traces,
@@ -43,9 +42,14 @@ def _noiseless():
     return sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
 
 
+def _solve(signal, weights, clamp_floor=None):
+    """One weighted least-squares solve: the coefficients of iterate 0."""
+    return wls_trace(signal, weights, 1, clamp_floor)[0].coeffs
+
+
 def test_unit_weights_recover_noiseless_coeffs():
     sig = _noiseless()
-    got = weighted_ls_solve(sig, np.ones(GRID_N), TINY_FLOOR)
+    got = _solve(sig, np.ones(GRID_N), TINY_FLOOR)
     want = coeffs_from_params(LONG_TAIL)
     assert got.a == pytest.approx(want.a, rel=1e-6)
     assert got.b == pytest.approx(want.b, rel=1e-6)
@@ -54,9 +58,9 @@ def test_unit_weights_recover_noiseless_coeffs():
 
 def test_constant_weight_scaling_changes_nothing():
     sig = _noiseless()
-    base = weighted_ls_solve(sig, np.ones(GRID_N), TINY_FLOOR)
+    base = _solve(sig, np.ones(GRID_N), TINY_FLOOR)
     for kappa in (0.125, 3.0, 1e6):
-        scaled = weighted_ls_solve(sig, np.full(GRID_N, kappa), TINY_FLOOR)
+        scaled = _solve(sig, np.full(GRID_N, kappa), TINY_FLOOR)
         assert scaled.a == pytest.approx(base.a, rel=1e-12)
         assert scaled.b == pytest.approx(base.b, rel=1e-12)
         assert scaled.c == pytest.approx(base.c, rel=1e-12)
@@ -68,7 +72,7 @@ def test_two_positive_weights_is_singular():
     w[100] = 1.0
     w[900] = 1.0
     with pytest.raises(SingularSystemError):
-        weighted_ls_solve(sig, w, TINY_FLOOR)
+        _solve(sig, w, TINY_FLOOR)
 
 
 def test_ls_fit_noiseless_near_complete_case():
@@ -85,7 +89,7 @@ def test_ls_fit_unit_weights_equivalence():
     bumps = 1.0 + 0.05 * np.sin(np.arange(GRID_N))  # positive, keeps LS sane
     sig = SampledSignal(delta_x=GRID_DX, samples=clean * bumps)
     fit = wls_trace(sig, np.ones(GRID_N), 1, TINY_FLOOR)[-1]
-    direct = weighted_ls_solve(sig, np.ones(GRID_N), TINY_FLOOR)
+    direct = _solve(sig, np.ones(GRID_N), TINY_FLOOR)
     assert fit.coeffs == direct
 
 
@@ -103,7 +107,7 @@ def test_ls_degenerates_on_noisy_long_tail_while_m5_survives():
         truth = GaussianParams(1.0, mu, 1.0 + 0.3 * ((t * 7) % 100) / 99.0)
         sig = sample_gaussian(truth, GRID_DX, GRID_N, NoiseSpec(12.0, 50_000 + t))
         try:
-            params = params_from_coeffs(weighted_ls_solve(sig, np.ones(GRID_N)))
+            params = params_from_coeffs(_solve(sig, np.ones(GRID_N)))
             ls_sq.append((params.sigma - truth.sigma) ** 2)
         except (InvalidWidthError, SingularSystemError):
             ls_failed += 1
@@ -193,10 +197,10 @@ def test_wls_singular_carries_iteration_index():
 
 def test_scale_equivariance_of_coefficients():
     base = _noiseless()
-    coeff0 = weighted_ls_solve(base, np.ones(GRID_N), 1e-30)
+    coeff0 = _solve(base, np.ones(GRID_N), 1e-30)
     for kappa in (0.5, 2.0, 7.5):
         scaled = SampledSignal(delta_x=GRID_DX, samples=kappa * base.samples)
-        coeffk = weighted_ls_solve(scaled, np.ones(GRID_N), 1e-30)
+        coeffk = _solve(scaled, np.ones(GRID_N), 1e-30)
         assert coeffk.a - coeff0.a == pytest.approx(math.log(kappa), abs=1e-9)
         assert coeffk.b == pytest.approx(coeff0.b, abs=1e-9)
         assert coeffk.c == pytest.approx(coeff0.c, abs=1e-9)
@@ -223,7 +227,7 @@ def test_normal_equation_gradient_vanishes():
         dx = float(rngs.uniform(0.01, 0.5))
         sig = SampledSignal(delta_x=dx, samples=np.exp(rngs.normal(0.0, 1.0, n)))
         w = rngs.uniform(0.1, 2.0, n)
-        coeffs = weighted_ls_solve(sig, w, 1e-30)
+        coeffs = _solve(sig, w, 1e-30)
         x = sig.grid
         resid = np.log(sig.samples) - (coeffs.a + coeffs.b * x + coeffs.c * x * x)
         u = (w / w.max()) ** 2
@@ -240,7 +244,7 @@ def test_wls_m5_initialization_matches_method_dispatch(erf_table):
     floor = float(np.max(sig.samples)) * 1e-6
     w0 = np.exp(log_transform(sig, floor))
     fit = wls_trace(sig, w0, 12)[-1]
-    via_dispatch = run_method(MethodSpec("M5", m5_iters=12), sig, erf_table)
+    via_dispatch = run_method(MethodSpec("M5", iters=12), sig, erf_table)
     assert via_dispatch.params == fit.params
 
 
@@ -419,7 +423,7 @@ def test_weight_validation_order(bad, message):
         if isinstance(entry, GaussFitError):
             raise entry
 
-    for entry in (weighted_ls_solve, lambda s, w: wls_trace(s, w, 2), block_entry):
+    for entry in (_solve, lambda s, w: wls_trace(s, w, 2), block_entry):
         with pytest.raises(GaussFitError, match=f"weights must be {message}"):
             entry(sig, w)
         with pytest.raises(ShapeError):
@@ -553,10 +557,10 @@ def test_single_solve_equals_plain_oracle_bit_for_bit():
             want = _plain_solve(sig.grid, log_transform(sig, 1e-30), w)
         except SingularSystemError:
             with pytest.raises(SingularSystemError):
-                weighted_ls_solve(sig, w, 1e-30)
+                _solve(sig, w, 1e-30)
             outcomes.add("singular")
             continue
-        got = weighted_ls_solve(sig, w, 1e-30)
+        got = _solve(sig, w, 1e-30)
         assert (got.a, got.b, got.c) == (want.a, want.b, want.c)
         outcomes.add("solved")
     assert outcomes == {"singular", "solved"}

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 from gaussfit import (
     GaussFitError,
     GaussianParams,
-    InitConfig,
     InvalidParamsError,
     InvalidWindowError,
     NoiseSpec,
@@ -60,10 +59,13 @@ def test_unknown_method_rejected():
 
 
 def test_iteration_count_preconditions():
-    with pytest.raises(GaussFitError):
-        MethodSpec("M2", stage2_iters=0)
-    with pytest.raises(GaussFitError):
-        MethodSpec("M5", m5_iters=0)
+    assert [MethodSpec(mid).iters for mid in ("M2", "M4", "M5")] == [2, 2, 12]
+    assert MethodSpec("M4", iters=3).iters == 3
+    for mid in ("M2", "M4", "M5"):
+        with pytest.raises(GaussFitError, match="iters must be >= 1"):
+            MethodSpec(mid, iters=0)
+    with pytest.raises(InvalidWindowError, match="window_l must be >= 1, got 0"):
+        MethodSpec("M3", window_l=0)
 
 
 def test_run_method_deterministic(erf_table):
@@ -107,10 +109,9 @@ def test_m2_m4_match_manual_two_stage(erf_table):
     """The dispatcher is exactly stage-1 init plus the shared solver."""
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(12.0, 7777))
     from gaussfit import SignalBlock, m3_initial_fit, naive_peak, sigma_area_m1
-    from gaussfit.initfit import InitConfig
 
     m4 = run_method(MethodSpec("M4"), sig, erf_table)
-    init = m3_initial_fit(sig, InitConfig(), erf_table).params
+    init = m3_initial_fit(sig, 3, erf_table).params
     manual = _iterate_from(init, sig, 2)[-1]
     assert m4.params == manual.params
 
@@ -134,7 +135,7 @@ def test_stage1_failure_falls_back_to_sample_weights(erf_table):
     sig = SampledSignal(delta_x=GRID_DX, samples=y)
     assert float(np.sum(y)) < 0  # guarantees the M1 width estimate fails
 
-    m2 = run_method(MethodSpec("M2", stage2_iters=2), sig, erf_table)
+    m2 = run_method(MethodSpec("M2", iters=2), sig, erf_table)
     assert m2.status == DEGENERATE_FALLBACK
     assert "stage1_error" in m2.diagnostics
 
@@ -178,7 +179,7 @@ def test_methods_mini_fuzz(erf_table):
         sig = SampledSignal(delta_x=float(rngs.uniform(0.01, 1.0)), samples=y)
         for mid in ("M1", "M2", "M3", "M4", "M5"):
             try:
-                fit = run_method(MethodSpec(mid, stage2_iters=2, m5_iters=3), sig,
+                fit = run_method(MethodSpec(mid, iters=3 if mid == "M5" else 2), sig,
                                  erf_table)
                 assert np.isfinite(fit.params.amplitude)
                 assert np.isfinite(fit.params.mu)
@@ -245,7 +246,7 @@ def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, case):
     or both raise the same error class at the same stage."""
     sig, window_l, k = case
     scale = 2.0**k
-    spec = MethodSpec(mid, init=InitConfig(window_l=window_l))
+    spec = MethodSpec(mid, window_l=window_l)
     base = _outcome(spec, sig)
     scaled = _outcome(spec, SampledSignal(sig.delta_x, sig.samples * scale, sig.x0))
     if isinstance(base, GaussFitError):

@@ -199,6 +199,11 @@ def test_default_clamp_floor_policy():
     flat = SampledSignal(delta_x=1.0, samples=[0.0, -1.0, -2.0])
     with pytest.raises(InvalidClampError):
         default_clamp_floor(flat)
+    # the smallest peak with a floor, and one whose floor underflows to 0
+    assert default_clamp_floor(SampledSignal(1.0, [2.5e-318, 1e-320, 0.0])) > 0
+    tiny = SampledSignal(delta_x=1.0, samples=[1e-321, 1e-319, 5e-320])
+    with pytest.raises(InvalidClampError, match="underflows"):
+        default_clamp_floor(tiny)
 
 
 def test_signal_csv_round_trip(tmp_path):
