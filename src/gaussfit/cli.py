@@ -17,6 +17,8 @@ import argparse
 import functools
 import json
 import math
+import os
+import stat
 import sys
 
 from .bench import BenchConfig, run_bench_iters, run_bench_snr, write_report_csv
@@ -178,8 +180,14 @@ def _cmd_fit(args) -> int:
         if args.output == "-":
             sys.stdout.write(text)
         else:
-            with open(args.output, "w", encoding="utf-8") as fh:
+            # overwrite in place, then cut a regular file to the new length:
+            # truncating to zero first frees the old block and makes close()
+            # start writeback; a FIFO, tty or /dev/null is never truncated
+            fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
+            with open(fd, "w", encoding="utf-8") as fh:
                 fh.write(text)
+                if stat.S_ISREG(os.fstat(fd).st_mode):
+                    fh.truncate()
     except OSError as err:
         print(f"gaussfit: cannot write {args.output}: {err}", file=sys.stderr)
         return _EXIT_USAGE

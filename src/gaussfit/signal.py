@@ -399,8 +399,9 @@ def read_two_column_csv(
     write -- the exact header, then lines of two cells made only of ASCII
     digits, ``.``, ``e``, ``E``, ``+`` and ``-``, split by one comma and
     each ended by ``\n`` -- has all its cells converted at once, read as
-    one JSON array by orjson (see :func:`_plain_cells`).  Every other
-    file, and a plain one whose conversion is refused, goes through
+    one JSON array by orjson (see :func:`_plain_cells`); a bare ``-0``
+    cell, looked for only when some cell reads as zero, refuses it.  Every
+    other file, and a plain one whose conversion is refused, goes through
     :func:`_split_cells`: the text is split into lines, all cells are
     converted at once by ``float``, and only when that fails is the first
     bad row looked for.
@@ -439,18 +440,17 @@ def _plain_cells(body: bytes) -> np.ndarray | None:
     ``.5``, ``+1``, ``01``, an overflow such as ``1e400``) and every
     malformed body refuse; so do a wrong count (a body without its final
     ``\n``), a non-finite value and the bare cell ``-0``, which JSON reads
-    as the integer 0 without its sign.  The plain form rules out
-    underscores, non-ASCII digits, blanks and every line break
-    ``str.splitlines`` knows but ``\n``, on which the two routes could
-    split or convert differently.
+    as the integer 0 without its sign; since that cell always reads as a
+    zero, the text is searched for it only when some value is zero.  The
+    plain form rules out underscores, non-ASCII digits, blanks and every
+    line break ``str.splitlines`` knows but ``\n``, on which the two
+    routes could split or convert differently.
     """
     separators = body.translate(None, _PLAIN_CELL_CHARS)
     rows = len(separators) // 2
     if not rows or separators != b",\n" * rows:
         return None
     cells = b"[" + body[:-1].replace(b"\n", b",") + b"]"
-    if cells.startswith(b"[-0,") or b",-0," in cells or cells.endswith(b",-0]"):
-        return None
     import orjson  # here, so that importing gaussfit does not load it
 
     try:
@@ -458,6 +458,10 @@ def _plain_cells(body: bytes) -> np.ndarray | None:
     except orjson.JSONDecodeError:
         return None
     if values.size != 2 * rows or not np.isfinite(values).all():
+        return None
+    # a bare -0 reads as 0, so only a body with a zero cell can hold one
+    if not values.all() and (cells.startswith(b"[-0,") or b",-0," in cells
+                             or cells.endswith(b",-0]")):
         return None
     return values
 

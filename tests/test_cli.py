@@ -10,6 +10,7 @@ import re
 import subprocess
 import sys
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -193,6 +194,71 @@ def test_fit_output_does_not_depend_on_csv_route(noiseless_csv, tmp_path):
         assert cli.main(["fit", "--input", str(path), "--method", "M5",
                          "--output", str(out)]) == 0
     assert outs[0].read_bytes() == outs[1].read_bytes()
+
+
+@pytest.fixture(scope="module")
+def fresh_fit_bytes(noiseless_csv, tmp_path_factory):
+    """What an M4 fit writes to a path that did not exist."""
+    from gaussfit import cli
+
+    out = tmp_path_factory.mktemp("fresh") / "fit.json"
+    assert cli.main(["fit", "--input", str(noiseless_csv), "--method", "M4",
+                     "--output", str(out)]) == 0
+    return out.read_bytes()
+
+
+@pytest.mark.parametrize("old", [b"{}", b"x" * 10_000], ids=["shorter", "longer"])
+def test_fit_overwrites_an_existing_output_in_place(noiseless_csv, fresh_fit_bytes,
+                                                    tmp_path, old):
+    """An existing output, shorter or longer than the new text, ends up
+    holding exactly what a fresh path gets, in the same file."""
+    from gaussfit import cli
+
+    out = tmp_path / "fit.json"
+    out.write_bytes(old)
+    inode = out.stat().st_ino
+    assert cli.main(["fit", "--input", str(noiseless_csv), "--method", "M4",
+                     "--output", str(out)]) == 0
+    assert out.read_bytes() == fresh_fit_bytes
+    assert out.stat().st_ino == inode
+
+
+def test_fit_output_is_opened_without_truncation(noiseless_csv, tmp_path):
+    """The output is opened without ``O_TRUNC``: truncating to zero before
+    the write is what the in-place overwrite avoids."""
+    from gaussfit import cli
+
+    calls, real_open = [], os.open
+
+    def recording_open(path, flags, *args):
+        calls.append(flags)
+        return real_open(path, flags, *args)
+
+    out = tmp_path / "fit.json"
+    with mock.patch.object(cli.os, "open", recording_open):
+        assert cli.main(["fit", "--input", str(noiseless_csv), "--method", "M1",
+                         "--output", str(out)]) == 0
+    assert len(calls) == 1
+    assert calls[0] & os.O_TRUNC == 0
+    assert calls[0] & os.O_WRONLY and calls[0] & os.O_CREAT
+
+
+def test_fit_output_to_devnull(noiseless_csv):
+    """A file that is not regular is written and never truncated."""
+    from gaussfit import cli
+
+    assert cli.main(["fit", "--input", str(noiseless_csv), "--method", "M1",
+                     "--output", os.devnull]) == 0
+
+
+def test_fit_output_to_a_directory_is_usage_error(noiseless_csv, tmp_path, capsys):
+    from gaussfit import cli
+
+    assert cli.main(["fit", "--input", str(noiseless_csv), "--method", "M1",
+                     "--output", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith(f"gaussfit: cannot write {tmp_path}: ")
 
 
 def test_bench_snr_deterministic_bytes(tmp_path):

@@ -437,12 +437,14 @@ def _csv_texts(draw):
 # texts the two routes could read differently: a vertical tab that
 # splitlines breaks at, an overflowing cell, rows of three and one cells,
 # a last cell that only starts with a number, no final newline, a bare -0
-# (JSON reads it without its sign), cells float reads but JSON does not,
-# and an integer too large for a double
+# (JSON reads it without its sign) among others or alone beside a 1e-0,
+# signed zeros that JSON reads as floats, cells float reads but JSON does
+# not, and an integer too large for a double
 _TRICKY_TEXTS = ("x,y\n0,1\x0b\n1,2\n2,3\n", "x,y\n0 ,1\n1\x0c,2\n2,3\n",
                  "x,y\n0,1\n1,1e400\n2,3\n", "x,y\n0,1,2\n3\n4,5\n",
                  "x,y\n0,1\n1,2\n2,3e\n", "x,y\n0,1\n1,2\n2,3",
-                 "x,y\n-0,1\n1,-0\n2,-0\n", "x,y\n0,1.\n1,2\n2,3\n",
+                 "x,y\n-0,1\n1,-0\n2,-0\n", "x,y\n1,2\n1e-0,-0\n3,4\n",
+                 "x,y\n0,0\n1,-0.0\n2,-0e0\n", "x,y\n0,1.\n1,2\n2,3\n",
                  "x,y\n0,+1\n1,2\n2,3\n", "x,y\n0,01\n1,2\n2,3\n",
                  "x,y\n0,1\n1," + "7" * 400 + "\n2,3\n")
 
@@ -523,3 +525,22 @@ def test_plain_files_take_the_c_route(tmp_path, monkeypatch):
     assert read_signal_csv(signal_path).x0 == -37.25
     assert read_erf_table_csv(table_path).k_count == 991
     assert len(read_signal_csv(savetxt_path)) == GRID_N
+
+
+@pytest.mark.parametrize("body", [b"0,0\n1,-0.0\n2,-0e0\n", b"1e-0,0\n-0.0,-0E0\n",
+                                  b"-0.5,0.0\n-0.01,2\n"])
+def test_plain_cells_keep_zero_bodies_without_a_bare_minus_zero(body):
+    """Zero cells open the search for a bare ``-0``; without one, the body
+    is read with the signs ``float`` gives."""
+    values = signal_module._plain_cells(body)
+    want = [float(c) for c in body.replace(b"\n", b",").decode().split(",")[:-1]]
+    assert values is not None
+    assert values.tolist() == want
+    assert np.signbit(values).tolist() == np.signbit(want).tolist()
+
+
+@pytest.mark.parametrize("body", [b"-0,1\n2,3\n4,5\n", b"0,1\n1e-0,-0\n2,3\n",
+                                  b"0,1\n2,3\n4,-0\n"])
+def test_plain_cells_refuse_a_bare_minus_zero(body):
+    """A bare ``-0`` as the first, a middle or the last cell is refused."""
+    assert signal_module._plain_cells(body) is None
