@@ -57,7 +57,6 @@ from .linfit import weights_from_params, wls_trace, wls_traces
 from .methods import (
     METHOD_IDS,
     MethodSpec,
-    fit_block,
     run_method,
     stage_one,
     start_weights,

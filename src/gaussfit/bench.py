@@ -21,23 +21,19 @@ as one :class:`gaussfit.signal.SignalBlock`, and every method then fits
 the whole chunk.  Both shapes run one loop over a sweep point's chunks,
 which scores every method at a tuple of iteration counts: ``iter_sweep``
 in the iteration sweep, the ``iters`` of the method's
-:meth:`BenchConfig.method_spec` in the SNR sweep.  M1 and M3 run on a
-chunk's rows one trial at a time through
-:func:`gaussfit.methods.run_method`, and their outcome scores at every
-count.  M2, M4 and M5 trace the chunk with one
+:meth:`BenchConfig.method_spec` in the SNR sweep.  Each chunk runs each
+stage 1 once, with one :func:`gaussfit.methods.stage_one` call: M1 for M1
+and M2, the split-area fit for M3 and M4.  M1 and M3 score those outcomes
+at every count.  M2, M4 and M5 trace the chunk from them with one
 :func:`gaussfit.methods.trace_block` of the largest count, so the
 reweighting of all its rows is one :func:`gaussfit.linfit.wls_traces`
 kernel call, and each count scores the iterate it ends on, which is what
-``run_method`` returns (or raises on) with that many iterations.
-Stage 1 runs once over the block, when the first row asks
-(:func:`gaussfit.methods.stage_one`; M1 for M1 and M2, the split-area
-fit for M3 and M4 when their ``window_l`` is equal).  Every row equals the
-trial computed alone, so the reports do not depend on the chunk size.
-With ``timing`` on, stage 1 is run and timed ahead of the chunk's
-trials, a trace's time is shared equally by its rows, and a method
-is charged its own per-row time plus its per-row share of every batched
-stage it uses, so M4's mean time still includes the split-area
-initializer.
+``run_method`` returns (or raises on) with that many iterations.  Every
+row equals the trial computed alone, so the reports do not depend on the
+chunk size.  With ``timing`` on, each block call's time is shared equally
+by its rows, and a method is charged its per-row share of every block
+call it uses: M2 and M4 that of their stage 1 plus their trace, so M4's
+mean time still includes the split-area initializer.
 
 Accounting: a trial whose method returns a fallback-flagged result still
 contributes its estimate to the MSE and bumps the degenerate counter; a
@@ -64,7 +60,7 @@ from dataclasses import dataclass, field
 from . import rng
 from .errors import GaussFitError, SingularSystemError, UnknownMethodError
 from .initfit import ErfTable, default_erf_table
-from .methods import METHOD_IDS, MethodSpec, run_method, stage_one, trace_block
+from .methods import METHOD_IDS, MethodSpec, stage_one, trace_block
 from .results import CONVERGED
 from .signal import GaussianParams, NoiseSpec, sample_gaussian
 
@@ -116,8 +112,8 @@ class BenchConfig:
     snr_step_db: float = 0.5
     snr_stop_db: float = 20.0
     methods: tuple[str, ...] = METHOD_IDS
-    stage2_iters: int = 2
-    m5_iters: int = 12
+    stage2_iters: int | None = None
+    m5_iters: int | None = None
     iter_sweep: tuple[int, ...] | None = None
     fixed_snr_db: float = 12.0
     timing: bool = False
@@ -146,7 +142,7 @@ class BenchConfig:
                 raise UnknownMethodError(f"unknown method id {mid!r}")
         if not self.methods:
             raise GaussFitError("at least one method required")
-        if self.stage2_iters < 1 or self.m5_iters < 1:
+        if any(k is not None and k < 1 for k in (self.stage2_iters, self.m5_iters)):
             raise GaussFitError("stage2_iters and m5_iters must be >= 1")
         if self.iter_sweep is not None:
             if not self.iter_sweep or any(k < 1 for k in self.iter_sweep):
@@ -164,7 +160,8 @@ class BenchConfig:
 
     def method_spec(self, method_id: str) -> MethodSpec:
         """The spec of ``method_id``: ``m5_iters`` iterations for M5,
-        ``stage2_iters`` for the others."""
+        ``stage2_iters`` for the others (None: :class:`MethodSpec`'s
+        default)."""
         iters = self.m5_iters if method_id == "M5" else self.stage2_iters
         return MethodSpec(method_id=method_id, iters=iters)
 
@@ -220,55 +217,11 @@ def _trial_blocks(config: BenchConfig, sweep_idx: int, snr_db: float):
         yield block, truths, seeds
 
 
-def _chunks(config: BenchConfig, sweep_idx: int, snr_db: float,
-            specs: list[MethodSpec], table: ErfTable):
-    """Yield ``(block, truths, seeds, shares)`` for each chunk, in trial
-    order; ``shares`` holds, per spec, the per-row seconds of the batched
-    stage 1 it uses (0 without ``timing``)."""
-    for block, truths, seeds in _trial_blocks(config, sweep_idx, snr_db):
-        shares = [0.0] * len(specs)
-        if config.timing:
-            shares = _stage_one_shares(specs, block.row(0), table, len(block))
-        yield block, truths, seeds, shares
-
-
-def _stage_one_shares(specs: list[MethodSpec], signal, table: ErfTable,
-                      rows: int) -> list[float]:
-    """Run stage 1 of every spec on ``signal``'s block ahead of its trials;
-    per spec, the seconds per row of the run it shares (M2 that of M1, M4
-    that of M3 with an equal ``window_l``)."""
-    measured: dict = {}
-    shares = []
-    for spec in specs:
-        family = {"M2": "M1", "M4": "M3"}.get(spec.method_id, spec.method_id)
-        key = (family, spec.window_l if family == "M3" else None)
-        if key not in measured:
-            t0 = time.perf_counter()
-            stage_one(spec, signal, table)
-            measured[key] = (time.perf_counter() - t0) / rows
-        shares.append(measured[key])
-    return shares
-
-
 def _estimate(fit) -> tuple[GaussianParams | None, bool]:
     """A fit's estimate and whether it converged; an error has neither."""
     if isinstance(fit, GaussFitError):
         return None, False
     return fit.params, fit.status == CONVERGED
-
-
-def _run_rows(spec: MethodSpec, block, table: ErfTable) -> list:
-    """``(outcome, seconds)`` of M1 or M3 on each row of ``block``, one
-    :func:`run_method` call per row: its result or the error it raised."""
-    outcomes = []
-    for i in range(len(block)):
-        t0 = time.perf_counter()
-        try:
-            fit = run_method(spec, block.row(i), table)
-        except GaussFitError as err:
-            fit = err
-        outcomes.append((fit, time.perf_counter() - t0))
-    return outcomes
 
 
 class _CellAccumulator:
@@ -313,26 +266,32 @@ def _sweep_point(config: BenchConfig, table: ErfTable, sweep_idx: int, snr_db: f
     specs = [config.method_spec(mid) for mid in config.methods]
     cells = {mid: [_CellAccumulator() for _ in counts[mid]] for mid in config.methods}
     seeds = []
-    for block, truths, chunk_seeds, shares in _chunks(config, sweep_idx, snr_db, specs,
-                                                      table):
+    for block, truths, chunk_seeds in _trial_blocks(config, sweep_idx, snr_db):
         seeds.extend(chunk_seeds)
-        for spec, share in zip(specs, shares):
+        # stage 1 per family, with the seconds per row of its block call;
+        # every spec has the default window_l, so M3 and M4 share one
+        stage1: dict = {}
+        for spec in specs:
             mid = spec.method_id
+            family = {"M2": "M1", "M4": "M3"}.get(mid, mid)
+            if family not in stage1:
+                t0 = time.perf_counter()
+                outcomes = stage_one(spec, block, table)
+                stage1[family] = outcomes, (time.perf_counter() - t0) / len(block)
+            outcomes, dt = stage1[family]
             ks = counts[mid]
             if mid in ("M1", "M3"):
-                rows = [([_estimate(fit)] * len(ks), dt)
-                        for fit, dt in _run_rows(spec, block, table)]
+                rows = [[_estimate(fit)] * len(ks) for fit in outcomes]
             else:
                 t0 = time.perf_counter()
-                traces = trace_block(spec, block, table, max(ks))
-                dt = (time.perf_counter() - t0) / len(block)
-                rows = [(_sweep_points(trace, status, ks), dt)
-                        for trace, status, _ in traces]
-            for truth, (outcomes, dt) in zip(truths, rows):
-                for cell, (estimate, converged) in zip(cells[mid], outcomes):
+                traces = trace_block(spec, block, outcomes, max(ks))
+                dt += (time.perf_counter() - t0) / len(block)
+                rows = [_sweep_points(trace, status, ks) for trace, status, _ in traces]
+            for truth, row in zip(truths, rows):
+                for cell, (estimate, converged) in zip(cells[mid], row):
                     cell.record(estimate, truth, converged)
                     if config.timing:
-                        cell.elapsed_s += dt + share
+                        cell.elapsed_s += dt
     return cells, seeds
 
 

@@ -107,9 +107,9 @@ def _build_parser() -> argparse.ArgumentParser:
     common.add_argument("--methods", type=_parse_methods,
                         default=METHOD_IDS,
                         help="comma-separated subset of M1..M5 (default all)")
-    common.add_argument("--stage2-iters", type=int, default=2,
+    common.add_argument("--stage2-iters", type=int, default=None,
                         help="stage-2 iterations for M2/M4 (default 2)")
-    common.add_argument("--m5-iters", type=int, default=12,
+    common.add_argument("--m5-iters", type=int, default=None,
                         help="iterations for M5 (default 12)")
     common.add_argument("--timing", action="store_true",
                         help="measure per-method wall time; off by default so"

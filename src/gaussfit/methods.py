@@ -21,19 +21,14 @@ described by the stage-1 estimate, frozen (the iteration does not re-pick
 the peak), so with equal starting weights and iteration counts the three
 outputs are bit-identical.
 
-Stage 1 (M1, or the split-area fit of M3) runs on blocks of signals: on a
-row of a :class:`gaussfit.signal.SignalBlock` it runs once for the whole
-block, the first time one of its rows asks, and the other rows and
-methods read the outcome.  A benchmark chunk thus runs M1 and M3 once
-per block and hands the same outcomes to M2 and M4.
-
-The iteration runs on blocks too.  :func:`trace_block` starts every row
-of a block and hands the rows with a start to one
-:func:`gaussfit.linfit.wls_traces` call, and :func:`fit_block` turns each
-row's trace into its fit: one entry per row, a :class:`FitResult` or the
-row's :class:`GaussFitError`.  :func:`run_method` fits one signal through
-:func:`gaussfit.linfit.wls_trace`, the same kernel on a block of one, and
-builds its result the way :func:`fit_block` does.
+Both stages run on blocks of signals (:class:`gaussfit.signal.SignalBlock`).
+:func:`stage_one` gives every row's stage-1 outcome (M1, or the split-area
+fit of M3), and :func:`trace_block` starts every row from those outcomes
+and hands the rows with a start to one :func:`gaussfit.linfit.wls_traces`
+call.  A benchmark chunk thus runs M1 and M3 once and hands the same
+outcomes to M2 and M4.  :func:`run_method` fits one signal: its
+:func:`stage_one` as a block of one, then :func:`gaussfit.linfit.wls_trace`,
+the same kernel on one row.
 """
 
 from __future__ import annotations
@@ -70,7 +65,6 @@ from .signal import (
 __all__ = [
     "METHOD_IDS",
     "MethodSpec",
-    "fit_block",
     "run_method",
     "stage_one",
     "start_weights",
@@ -129,26 +123,27 @@ def _m1_block(block: SignalBlock) -> list:
     return outcomes
 
 
-def stage_one(spec: MethodSpec, signal: SampledSignal, table: ErfTable):
-    """Stage-1 outcome of ``signal`` for ``spec``: the M1 fit (M1, M2) or
-    the split-area fit with ``spec.window_l`` (M3, M4), each a
-    :class:`FitResult` or the :class:`GaussFitError` it raised; ``None``
-    for M5, which has no stage 1.
-
-    On a row of a :class:`SignalBlock` the stage runs once for the whole
-    block, and every later call for one of its rows with the same stage
-    (M1 and M2 share one, M3 and M4 one per ``window_l``) reads its outcome.
+def stage_one(spec: MethodSpec, block: SignalBlock, table: ErfTable) -> list:
+    """Stage-1 outcome of every row of ``block`` for ``spec``: the M1 fit
+    (M1, M2) or the split-area fit with ``spec.window_l`` (M3, M4), each a
+    :class:`FitResult` or the :class:`GaussFitError` the row raised;
+    ``None`` for M5, which has no stage 1.
     """
     mid = spec.method_id
     if mid in ("M1", "M2"):
-        block, i = SignalBlock.containing(signal)
-        return block.once(("m1",), lambda: _m1_block(block))[i]
+        return _m1_block(block)
     if mid in ("M3", "M4"):
-        try:
-            return m3_initial_fit(signal, spec.window_l, table)
-        except GaussFitError as err:
-            return err
-    return None
+        # one m3_initial_fit call per row, which fits the whole block once
+        # through the block's memo: perfbench/selftest.py counts one traced
+        # split-area call per M3 trial
+        outcomes: list = []
+        for i in range(len(block)):
+            try:
+                outcomes.append(m3_initial_fit(block.row(i), spec.window_l, table))
+            except GaussFitError as err:
+                outcomes.append(err)
+        return outcomes
+    return [None] * len(block)
 
 
 def start_weights(
@@ -196,10 +191,11 @@ def _reweighted_fit(spec: MethodSpec, trace: list, status: str, diagnostics: dic
     )
 
 
-def trace_block(spec: MethodSpec, block: SignalBlock, table: ErfTable,
+def trace_block(spec: MethodSpec, block: SignalBlock, stage1: list,
                 num_iters: int) -> list:
     """The ``num_iters``-step reweighting trace of M2, M4 or M5 on every
-    row of ``block``, with one :func:`gaussfit.linfit.wls_traces` call.
+    row of ``block``, started from the rows' :func:`stage_one` outcomes
+    ``stage1``, with one :func:`gaussfit.linfit.wls_traces` call.
 
     One entry per row, ``(trace, status, diagnostics)``: the row's
     :func:`wls_traces` entry (its trace, or the error that ended it) with
@@ -208,10 +204,9 @@ def trace_block(spec: MethodSpec, block: SignalBlock, table: ErfTable,
     """
     entries: list = []
     started, weights = [], []
-    for i in range(len(block)):
-        row = block.row(i)
+    for i, outcome in enumerate(stage1):
         try:
-            w0, status, diagnostics = start_weights(spec, row, stage_one(spec, row, table))
+            w0, status, diagnostics = start_weights(spec, block.row(i), outcome)
         except GaussFitError as err:
             entries.append((err, None, None))
             continue
@@ -227,18 +222,6 @@ def trace_block(spec: MethodSpec, block: SignalBlock, table: ErfTable,
     return entries
 
 
-def fit_block(spec: MethodSpec, block: SignalBlock, table: ErfTable) -> list:
-    """Run M2, M4 or M5 on every row of ``block``: one entry per row, the
-    :class:`FitResult` :func:`run_method` returns on that row or the
-    :class:`GaussFitError` it raises.  Stage 1 and :func:`start_weights`
-    run per row and the iteration as one :func:`trace_block`.
-    """
-    return [trace if isinstance(trace, GaussFitError)
-            else _reweighted_fit(spec, trace, status, diagnostics)
-            for trace, status, diagnostics in trace_block(spec, block, table,
-                                                          spec.iters)]
-
-
 def run_method(
     spec: MethodSpec, signal: SampledSignal, table: ErfTable
 ) -> FitResult:
@@ -250,17 +233,13 @@ def run_method(
     last iterate of M2/M4/M5 must describe a Gaussian; otherwise
     :class:`InvalidWidthError` is raised with its iteration index.
     """
-    mid = spec.method_id
-    if mid == "M3":
-        return m3_initial_fit(signal, spec.window_l, table)
-    stage1 = stage_one(spec, signal, table)
-    if mid == "M1":
-        if isinstance(stage1, GaussFitError):
-            raise stage1
-        return stage1
-    w0, status, diagnostics = start_weights(spec, signal, stage1)
-    fit = _reweighted_fit(spec, wls_trace(signal, w0, spec.iters, spec.clamp_floor),
-                          status, diagnostics)
+    stage1, = stage_one(spec, SignalBlock.of(signal), table)
+    if spec.method_id in ("M1", "M3"):
+        fit = stage1
+    else:
+        w0, status, diagnostics = start_weights(spec, signal, stage1)
+        fit = _reweighted_fit(spec, wls_trace(signal, w0, spec.iters, spec.clamp_floor),
+                              status, diagnostics)
     if isinstance(fit, GaussFitError):
         raise fit
     return fit

@@ -159,16 +159,17 @@ def _grid(x0: float, delta_x: float, n: int) -> np.ndarray:
 class SignalBlock:
     """Rows of samples on one shared grid ``x[n] = x0 + n * delta_x``.
 
-    What every stage of :mod:`gaussfit.initfit` takes; a stage 1 given a
-    single signal fits the block :meth:`containing` it.  Rows are not
-    validated again: a block comes from checked signals or from
-    :func:`sample_gaussian`, which checks its rows.
+    What every stage of :mod:`gaussfit.initfit` takes;
+    :func:`gaussfit.initfit.m3_initial_fit` given a single signal fits the
+    block :meth:`containing` it.  Rows are not validated again: a block
+    comes from checked signals or from :func:`sample_gaussian`, which
+    checks its rows.
 
-    A block remembers the stage-1 outcomes of its rows (:meth:`once`), so
-    fitting its rows one at a time runs each stage 1 once for the whole
-    block.  Its samples must not change once a row has been fitted, and a
-    remembered outcome is handed to every caller, so callers do not
-    modify it.
+    A block remembers the split-area fits of its rows (:meth:`once`, used
+    only by :func:`gaussfit.initfit.m3_initial_fit`), so fitting its rows
+    one at a time runs that fit once for the whole block.  Its samples
+    must not change once a row has been fitted, and a remembered outcome
+    is handed to every caller, so callers do not modify it.
     """
 
     delta_x: float

@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gaussfit import (
+    METHOD_IDS,
     BenchConfig,
     DegenerateAreaError,
     DegenerateRhoError,
@@ -31,7 +32,6 @@ from gaussfit import (
     SignalBlock,
     bench,
     build_erf_table,
-    fit_block,
     initfit,
     m3_initial_fit,
     methods,
@@ -210,11 +210,6 @@ def _alone(sig):
     return SampledSignal(sig.delta_x, sig.samples.copy(), sig.x0)
 
 
-def _rows(block, spec, table):
-    """Stage 1 of ``spec`` on every row of ``block``, one row at a time."""
-    return [stage_one(spec, block.row(i), table) for i in range(len(block))]
-
-
 def _blocks(config, snr_db, chunk, monkeypatch):
     monkeypatch.setattr(bench, "_CHUNK", chunk)
     return list(bench._trial_blocks(config, 0, snr_db))
@@ -279,9 +274,9 @@ def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
     m1 = MethodSpec("M1")
     for chunk in (1, 3, 8):
         for block, _, _ in _blocks(config, snr_db, chunk, monkeypatch):
-            got_m1 = _rows(block, m1, erf_table)
+            got_m1 = stage_one(m1, block, erf_table)
             got_m3 = initfit._m3_initial_fit_block(block, window_l, erf_table)
-            got_m4 = _rows(block, MethodSpec("M4", window_l=window_l), erf_table)
+            got_m4 = stage_one(MethodSpec("M4", window_l=window_l), block, erf_table)
             assert [_key(g) for g in got_m4] == [_key(g) for g in got_m3]
             for i in range(len(block)):
                 sig = block.row(i)
@@ -295,20 +290,19 @@ def test_stage_one_rows_equal_scalar_oracles(snr_db, window_l, erf_table,
 
 
 def test_rows_share_their_block_stage_one(erf_table):
-    """Rows of a block read one stage-1 run: M2 the outcome of M1, M4 that
-    of M3 with an equal ``window_l``; another ``window_l`` runs its own."""
+    """Rows of a block read one split-area fit: M3 and M4 with an equal
+    ``window_l`` get the outcome :func:`m3_initial_fit` gives the row;
+    another ``window_l`` runs its own."""
     block = sample_gaussian([GaussianParams(1.0, 8.0 + 0.1 * j, 1.2) for j in range(5)],
                             0.01, 1001, [NoiseSpec(6.0, j) for j in range(5)])
     row = block.row(3)
-    assert stage_one(MethodSpec("M2"), row, erf_table) is stage_one(
-        MethodSpec("M1"), block.row(3), erf_table)
-    m3 = stage_one(MethodSpec("M3"), row, erf_table)
-    assert stage_one(MethodSpec("M4"), block.row(3), erf_table) is m3
-    assert m3_initial_fit(row, 3, erf_table) is m3
-    other = stage_one(MethodSpec("M4", window_l=5), row, erf_table)
-    assert other is not m3
+    m3 = stage_one(MethodSpec("M3"), block, erf_table)
+    assert stage_one(MethodSpec("M4"), block, erf_table)[3] is m3[3]
+    assert m3_initial_fit(row, 3, erf_table) is m3[3]
+    other = stage_one(MethodSpec("M4", window_l=5), block, erf_table)[3]
+    assert other is not m3[3]
     assert _key(other) == _key(m3_initial_fit(_alone(row), 5, erf_table))
-    assert stage_one(MethodSpec("M5"), row, erf_table) is None
+    assert stage_one(MethodSpec("M5"), block, erf_table) == [None] * len(block)
 
 
 def test_a_new_table_gets_its_own_split_area_fit():
@@ -412,25 +406,30 @@ def test_m1_error_rows(erf_table):
                         [0.5, -2.0, -1.0, 0.1],
                         [0.2, 1.0, 0.4, 0.1]])
     block = SignalBlock(delta_x=0.5, samples=samples, x0=-1.0)
-    got = _rows(block, MethodSpec("M1"), erf_table)
+    got = stage_one(MethodSpec("M1"), block, erf_table)
     assert [_kind(g) for g in got] == ["NoPeakError", "InvalidParamsError", CONVERGED]
     for i, g in enumerate(got):
         assert _key(g) == _key(_outcome(_oracle_m1, block.row(i)))
     assert [g.stage for g in got[:2]] == ["naive_peak", "sigma_area_m1"]
 
 
-def test_fit_block_rows_equal_run_method_alone(erf_table, monkeypatch):
-    """Every row of a block fit equals :func:`run_method` on that row as a
-    signal of its own, for M2, M4 and M5: results, stage-1 fallbacks and
-    errors alike, including rank-deficient steps and final iterates that
-    are no Gaussian, which end a row without disturbing the others."""
+def test_block_traces_equal_run_method_alone(erf_table, monkeypatch):
+    """Every row of a block trace, started from the block's stage 1 and
+    ended by the final-iterate rule, equals :func:`run_method` on that row
+    as a signal of its own, for M2, M4 and M5: results, stage-1 fallbacks
+    and errors alike, including rank-deficient steps and final iterates
+    that are no Gaussian, which end a row without disturbing the others."""
     kinds = set()
     for snr_db in (-10.0, 0.0, 12.0):
         for block, _, _ in _blocks(BenchConfig(trials=40, master_seed=13), snr_db, 8,
                                    monkeypatch):
             for mid in ("M2", "M4", "M5"):
                 spec = MethodSpec(mid)
-                for i, got in enumerate(fit_block(spec, block, erf_table)):
+                traces = methods.trace_block(spec, block, stage_one(spec, block, erf_table),
+                                             spec.iters)
+                for i, (trace, status, diagnostics) in enumerate(traces):
+                    got = trace if isinstance(trace, GaussFitError) else (
+                        methods._reweighted_fit(spec, trace, status, diagnostics))
                     alone = _outcome(run_method, spec, _alone(block.row(i)), erf_table)
                     assert _key(got) == _key(alone), (snr_db, mid, i)
                     kinds.add((mid, _kind(got)))
@@ -506,9 +505,9 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
             return fn(block, *args)
         return hook
 
-    def trace(spec, block, table, num_iters):
+    def trace(spec, block, stage1, num_iters):
         clock[0] += 100.0 * len(block)
-        return methods.trace_block(spec, block, table, num_iters)
+        return methods.trace_block(spec, block, stage1, num_iters)
 
     monkeypatch.setattr(methods, "_m1_block", counted("M1", methods._m1_block, 1.0))
     monkeypatch.setattr(initfit, "_m3_initial_fit_block",
@@ -521,6 +520,27 @@ def test_stage_one_runs_once_per_chunk_and_timing_charges_its_share(timing, erf_
     if timing:
         times = {m: report.mean_time_us(m, 12.0) for m in ("M1", "M2", "M3", "M4", "M5")}
         assert times == {"M1": 1e6, "M2": 101e6, "M3": 10e6, "M4": 110e6, "M5": 100e6}
+    # M2 alone still runs and is charged the M1 stage 1
+    calls.clear()
+    report = run_bench_snr(BenchConfig(trials=13, master_seed=7, snr_start_db=12.0,
+                                       snr_stop_db=12.0, methods=("M2",), timing=timing),
+                           erf_table)
+    assert calls == ["M1"] * 2
+    assert report.mean_time_us("M2", 12.0) == (101e6 if timing else 0.0)
+
+
+def test_a_methods_cells_do_not_depend_on_the_other_methods(erf_table):
+    """Stage 1 runs for M2 and M4 whether or not M1 and M3 are reported,
+    and in any method order."""
+    def rows(methods):
+        config = BenchConfig(trials=13, master_seed=7, snr_start_db=0.0, snr_step_db=6.0,
+                             snr_stop_db=12.0, methods=methods)
+        report = run_bench_snr(config, erf_table)
+        return {mid: [repr(row) for row in report.rows if row.method == mid]
+                for mid in ("M2", "M4")}
+    want = rows(("M4", "M2"))
+    assert rows(("M2", "M4")) == want
+    assert rows(METHOD_IDS) == want
 
 
 # ------------------------------------------------------------- property
@@ -551,10 +571,10 @@ def _blocks_of_signals(draw):
 def test_block_rows_equal_blocks_of_one(case):
     block, window_l = case
     table = _TABLE
-    m1 = _rows(block, MethodSpec("M1"), table)
+    m1 = stage_one(MethodSpec("M1"), block, table)
     m3 = initfit._m3_initial_fit_block(block, window_l, table)
     for i in range(len(block)):
         alone = _alone(block.row(i))
-        assert _key(m1[i]) == _key(stage_one(MethodSpec("M1"), alone, table))
+        assert _key(m1[i]) == _key(stage_one(MethodSpec("M1"), SignalBlock.of(alone), table)[0])
         assert _key(m3[i]) == _key(_outcome(m3_initial_fit, alone, window_l, table))
         assert _key(m3[i]) == _key(_outcome(_oracle_m3, alone, window_l, table))

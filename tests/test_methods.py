@@ -13,6 +13,7 @@ from gaussfit import (
     NoiseSpec,
     NoPeakError,
     SampledSignal,
+    SignalBlock,
     UnknownMethodError,
     build_erf_table,
     eval_gaussian,
@@ -100,7 +101,8 @@ def test_two_stage_init_amplitude_scale_invariant():
 def test_two_stage_zero_iterations_rejected(erf_table):
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
     spec = MethodSpec("M2")
-    w0, _, _ = start_weights(spec, sig, stage_one(spec, sig, erf_table))
+    stage1, = stage_one(spec, SignalBlock.of(sig), erf_table)
+    w0, _, _ = start_weights(spec, sig, stage1)
     with pytest.raises(GaussFitError):
         wls_trace(sig, w0, 0)
 
@@ -108,7 +110,7 @@ def test_two_stage_zero_iterations_rejected(erf_table):
 def test_m2_m4_match_manual_two_stage(erf_table):
     """The dispatcher is exactly stage-1 init plus the shared solver."""
     sig = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N, NoiseSpec(12.0, 7777))
-    from gaussfit import SignalBlock, m3_initial_fit, naive_peak, sigma_area_m1
+    from gaussfit import m3_initial_fit, naive_peak, sigma_area_m1
 
     m4 = run_method(MethodSpec("M4"), sig, erf_table)
     init = m3_initial_fit(sig, 3, erf_table).params
@@ -147,7 +149,8 @@ def test_stage1_failure_falls_back_to_sample_weights(erf_table):
     assert m2.params == direct.params
 
     spec = MethodSpec("M2")
-    start, status, diagnostics = start_weights(spec, sig, stage_one(spec, sig, erf_table))
+    stage1, = stage_one(spec, SignalBlock.of(sig), erf_table)
+    start, status, diagnostics = start_weights(spec, sig, stage1)
     assert status == DEGENERATE_FALLBACK
     assert diagnostics == m2.diagnostics
     assert np.array_equal(start, w0)

@@ -4,7 +4,9 @@ Each per-layer metric of ``BENCHMARK.json`` is keyed on a public function
 of the package, so renaming or deleting one drops its metric from the
 traced result.  ``mc_init`` runs only the stage-1 methods, ``mc_snr12``
 all five through the reweighting kernel, and ``mc_iters12`` the iteration
-sweep, whose cells the harness scores trace point by trace point.
+sweep, whose cells the harness scores trace point by trace point.  Stage 1
+runs once per trial and family, so ``mc_snr12`` fits the split area once
+per trial for M3 and M4 together.
 """
 
 import json
@@ -30,6 +32,7 @@ def _check_traced_run(workload):
     assert result["correct"] is True
     declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
     assert set(result["metrics"]) == {m["name"] for m in declared}
+    return {name: metric["value"] for name, metric in result["metrics"].items()}
 
 
 def test_traced_run_reports_every_declared_per_layer_metric():
@@ -37,7 +40,9 @@ def test_traced_run_reports_every_declared_per_layer_metric():
 
 
 def test_traced_run_through_the_reweighting_kernel_is_well_formed():
-    _check_traced_run("mc_snr12")
+    metrics = _check_traced_run("mc_snr12")
+    # M3 and M4 share one split-area fit per trial
+    assert metrics["initfit.m3_initial_fit.calls"] == 1.0
 
 
 def test_traced_run_of_the_iteration_sweep_is_well_formed():
