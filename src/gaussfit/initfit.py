@@ -413,7 +413,19 @@ def _m3_initial_fit_block(
     the rows with a peak, as one ``(sides, k_count)`` objective; each row
     is then decided in stage order; and the template amplitude runs once
     over the block, with a NaN width for the rows already decided.
+
+    Every stage runs on the rows divided by ``2**e``, ``e`` the
+    :func:`math.frexp` exponent of the row's largest ``|y|``.  That is
+    exact, and every stage scales uniformly with it, so a row fits the same
+    at any peak height the float range holds, where ``y * y`` in ``rho``
+    would otherwise underflow or overflow.  The amplitude and the split
+    areas are scaled back, also where they enter a message; a ``rho``
+    denominator reaches its message only as 0, inf or NaN, which scaling
+    keeps.
     """
+    _, exps = np.frexp(np.maximum.reduce(np.abs(block.samples), 1))
+    block = SignalBlock(block.delta_x, np.ldexp(block.samples, -exps[:, None]), block.x0)
+    exps = exps.tolist()
     try:
         peaks = windowed_peak(block, window_l)
     except InvalidWindowError as err:
@@ -449,7 +461,8 @@ def _m3_initial_fit_block(
             outcome = NoPeakError("windowed peak height is non-positive",
                                   stage="windowed_peak")
         else:
-            diagnostics = {"n_hat": n_hat[i], "s_beta": a.s_beta, "s_alpha": a.s_alpha}
+            diagnostics = {"n_hat": n_hat[i], "s_beta": _unscaled(a.s_beta, exps[i]),
+                           "s_alpha": _unscaled(a.s_alpha, exps[i])}
             widths = {}
             for side in ("beta", "alpha"):
                 if (i, side) in lookups:
@@ -485,6 +498,10 @@ def _m3_initial_fit_block(
         try:
             if isinstance(amplitude, GaussFitError):
                 raise amplitude
+            amplitude = _unscaled(amplitude, exps[i])
+            if amplitude == math.inf:
+                raise InvalidAmplitudeError("refined amplitude overflows",
+                                            stage="refine_amplitude")
             if not (math.isfinite(amplitude) and amplitude > 0):
                 raise NoPeakError(f"refined amplitude is not positive: {amplitude!r}",
                                   stage="refine_amplitude")
@@ -495,6 +512,14 @@ def _m3_initial_fit_block(
         outcomes[i] = FitResult(params=params, coeffs=None, method="M3",
                                 iterations_run=0, status=status, diagnostics=diagnostics)
     return outcomes
+
+
+def _unscaled(value: float, e: int) -> float:
+    """``value * 2**e``, or an infinity where that overflows."""
+    try:
+        return math.ldexp(value, e)
+    except OverflowError:
+        return math.copysign(math.inf, value)
 
 
 def write_erf_table_csv(table: ErfTable, path) -> None:

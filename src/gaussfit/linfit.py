@@ -63,8 +63,8 @@ from .signal import (
     LogPolyCoeffs,
     SampledSignal,
     SignalBlock,
+    _clamp_floor,
     params_from_coeffs,
-    resolve_clamp_floor,
 )
 
 __all__ = ["weights_from_params", "wls_trace", "wls_traces"]
@@ -138,47 +138,33 @@ def _gaussian_values(coeffs: np.ndarray, x: np.ndarray, scratch: np.ndarray,
     return np.exp(bx, out)
 
 
-def _started(block: SignalBlock, initial_weights, entries: list, clamp_floor):
+def _started(block: SignalBlock, weights: np.ndarray, entries: list, clamp_floor):
     """The rows whose start is valid, their weights, the weights' maxima and
     the clamped log samples; every other row's error goes into ``entries``.
 
-    A row's checks run in the order shape, finite, non-negative, clamp
-    floor.  The weights are a copy: the caller's arrays stay unwritten.
+    A row's checks run in the order finite, non-negative, clamp floor.
     """
-    n = block.samples.shape[1]
-    shaped, starts = [], []
-    for i, weights in enumerate(initial_weights):
-        w = np.asarray(weights, dtype=np.float64)
-        if w.shape != (n,):
-            entries[i] = ShapeError(f"weights shape {w.shape} does not match {n} samples")
-        else:
-            shaped.append(i)
-            starts.append(w)
-    if not shaped:
-        return [], None, None, None
-    weights = np.array(starts)
     # a NaN anywhere makes both extremes NaN
     lows = np.minimum.reduce(weights, 1).tolist()
     highs = np.maximum.reduce(weights, 1).tolist()
-    live, floors = [], []
-    for j, (i, lo, hi) in enumerate(zip(shaped, lows, highs)):
+    tops = np.maximum.reduce(block.samples, 1).tolist()
+    rows, floors = [], []
+    for i, (lo, hi, top) in enumerate(zip(lows, highs, tops)):
         try:
             if not (math.isfinite(lo) and math.isfinite(hi)):
                 raise GaussFitError("weights must be finite")
             if lo < 0:
                 raise GaussFitError("weights must be non-negative")
-            floors.append(resolve_clamp_floor(block.row(i), clamp_floor))
+            floors.append(_clamp_floor(top, clamp_floor))
         except GaussFitError as err:
             entries[i] = err
             continue
-        live.append(j)
-    rows = [shaped[j] for j in live]
+        rows.append(i)
     if not rows:
         return [], None, None, None
-    w_max = np.array(highs)
-    if len(live) < len(shaped):
-        weights, w_max = weights[live], w_max[live]
-    samples = block.samples if len(rows) == len(block) else block.samples[rows]
+    w_max, samples = np.array(highs), block.samples
+    if len(rows) < len(block):
+        weights, w_max, samples = weights[rows], w_max[rows], samples[rows]
     # log_transform of each row with its own floor
     logs = np.log(np.maximum(samples, np.array(floors)[:, None]))
     return rows, weights, w_max, logs
@@ -192,18 +178,18 @@ def wls_traces(
 ) -> list:
     """Run the reweighting iteration on every row of ``block``.
 
-    ``initial_weights`` holds one weight vector per row.  Iteration 0 of a
-    row solves with its initial weights; every later iteration rebuilds
-    the weights from the row's previous coefficient estimate, the values
-    of :func:`weights_from_params` (non-finite rebuilt weights are zeroed,
+    ``initial_weights`` holds one weight vector per row, array-like of the
+    samples' shape (else a :class:`ShapeError`).  Iteration 0 of a row
+    solves with its initial weights; every later iteration rebuilds the
+    weights from the row's previous coefficient estimate, the values of
+    :func:`weights_from_params` (non-finite rebuilt weights are zeroed,
     they carry no usable information).  The clamp floor is
     ``clamp_floor``, or each row's default floor when it is ``None``.
 
     Returns one entry per row: its :data:`gaussfit.results.WlsTrace`, one
     :class:`WlsStep` per iteration, or the :class:`GaussFitError` of the
-    row, exactly what :func:`wls_trace` raises on that row alone.  Weights
-    of the wrong shape give a :class:`ShapeError`, non-finite or negative
-    ones a :class:`GaussFitError`, an unusable floor an
+    row, exactly what :func:`wls_trace` raises on that row alone: non-finite
+    or negative weights a :class:`GaussFitError`, an unusable floor an
     ``InvalidClampError``, and rank deficiency at an iteration a
     :class:`SingularSystemError` with ``stage="wls_trace"``, the iteration
     index and, in ``completed``, the iterates finished before it.
@@ -217,10 +203,18 @@ def wls_traces(
     """
     if num_iters < 1:
         raise GaussFitError(f"num_iters must be >= 1, got {num_iters}")
-    if len(initial_weights) != len(block):
-        raise ShapeError(f"{len(initial_weights)} weight vectors for {len(block)} rows")
+    if not len(block):
+        return []
+    try:
+        # the copy the iteration writes over: the caller's weights stay unwritten
+        weights = np.array(initial_weights, dtype=np.float64)
+    except ValueError as err:  # a ragged list
+        raise ShapeError(f"weights do not form an array: {err}") from None
+    if weights.shape != block.samples.shape:
+        raise ShapeError(f"weights shape {weights.shape} does not match samples shape"
+                         f" {block.samples.shape}")
     entries: list = [None] * len(block)
-    live, weights, w_max, logs = _started(block, initial_weights, entries, clamp_floor)
+    live, weights, w_max, logs = _started(block, weights, entries, clamp_floor)
     if not live:
         return entries
     x = block.grid

@@ -342,7 +342,20 @@ def default_clamp_floor(signal: SampledSignal) -> float:
     whose maximum is so small (below about 2.5e-318) that the product
     underflows to 0.
     """
-    top = float(np.max(signal.samples))
+    return _clamp_floor(float(np.max(signal.samples)), None)
+
+
+def resolve_clamp_floor(signal: SampledSignal, clamp_floor: float | None) -> float:
+    """Explicit floor if given, else the default policy."""
+    return _clamp_floor(float(np.max(signal.samples)), clamp_floor)
+
+
+def _clamp_floor(top: float, clamp_floor: float | None) -> float:
+    """:func:`resolve_clamp_floor` of samples whose largest is ``top``."""
+    if clamp_floor is not None:
+        if math.isfinite(clamp_floor) and clamp_floor > 0:
+            return float(clamp_floor)
+        raise InvalidClampError(f"clamp floor must be finite and > 0, got {clamp_floor!r}")
     if top <= 0 or not math.isfinite(top):
         raise InvalidClampError("no positive sample to derive a clamp floor from")
     floor = top * DEFAULT_CLAMP_RATIO
@@ -351,15 +364,6 @@ def default_clamp_floor(signal: SampledSignal) -> float:
             f"default clamp floor max(y) * {DEFAULT_CLAMP_RATIO:g} underflows to 0"
             f" (max(y) = {top!r})")
     return floor
-
-
-def resolve_clamp_floor(signal: SampledSignal, clamp_floor: float | None) -> float:
-    """Explicit floor if given, else the default policy."""
-    if clamp_floor is None:
-        return default_clamp_floor(signal)
-    if not (math.isfinite(clamp_floor) and clamp_floor > 0):
-        raise InvalidClampError(f"clamp floor must be finite and > 0, got {clamp_floor!r}")
-    return float(clamp_floor)
 
 
 def log_transform(signal: SampledSignal, clamp_floor: float) -> np.ndarray:

@@ -410,9 +410,9 @@ _HOSTILE_OUTCOMES = {
         "M1": 3,
         "M2": (1.0294800245462929e+308, 2.138488986628011, 0.7043908653095114,
                "degenerate-fallback"),
-        "M3": 3,
-        "M4": (1.0294800245462929e+308, 2.138488986628011, 0.7043908653095114,
-               "degenerate-fallback"),
+        "M3": (8.67087968868877e+307, 2.0, 0.9504204642826641, "converged"),
+        "M4": (1.0175302369605918e+308, 2.134862692736138, 0.7253469375894462,
+               "converged"),
         "M5": (1.0261872439010504e+308, 2.1376729932762513, 0.7091354455340617,
                "converged"),
     },
@@ -420,14 +420,15 @@ _HOSTILE_OUTCOMES = {
         "M1": (1e+160, 2.0, 0.7269127291194506, "converged"),
         "M2": (1.0216948449752053e+160, 2.1311967177044067, 0.7171338269320418,
                "converged"),
-        "M3": 3,
-        "M4": (1.0221424250468687e+160, 2.130999659107667, 0.7164568948038937,
-               "degenerate-fallback"),
+        "M3": (8.670482964317355e+159, 2.0, 0.9516130906242054, "converged"),
+        "M4": (1.019305669948424e+160, 2.132477717490412, 0.7211116956954934,
+               "converged"),
         "M5": (1.0214397019931097e+160, 2.1314069122928156, 0.717531631825866,
                "converged"),
     },
     "tiny": {"M1": (1e-319, 2.0, 0.726889265581267, "converged"),
-             "M2": 3, "M3": 3, "M4": 3, "M5": 3},
+             "M2": 3, "M3": (8.6704e-320, 2.0, 0.9516155954489767, "converged"),
+             "M4": 3, "M5": 3},
     "far_x": {"M1": (1.0, 1.0000000002e+300, 9.813975580809336e+289, "converged"),
               "M2": 3, "M3": 3, "M4": 3, "M5": 3},
     "infinite_step": dict.fromkeys(("M1", "M2", "M3", "M4", "M5"), 2),

@@ -430,6 +430,22 @@ def test_weight_validation_order(bad, message):
             entry(sig, w[1:])
 
 
+def test_weights_take_the_samples_shape():
+    """The weights are one ``(rows, n)`` array-like: a ragged list or a
+    wrong row count raises one :class:`ShapeError` for the whole call, and
+    a block of no rows traces nothing."""
+    sig = _noiseless()
+    block = SignalBlock(sig.delta_x, np.stack([sig.samples, sig.samples]), sig.x0)
+    for weights in ([np.ones(GRID_N), np.ones(GRID_N - 1)], np.ones((3, GRID_N)),
+                    np.ones(GRID_N)):
+        with pytest.raises(ShapeError):
+            wls_traces(block, weights, 2)
+    assert wls_traces(SignalBlock(1.0, np.empty((0, GRID_N))), [], 2) == []
+    alone = _entry_key(wls_trace(sig, np.ones(GRID_N), 2))
+    assert [_entry_key(row) for row in wls_traces(block, [[1.0] * GRID_N] * 2, 2)] == [
+        alone, alone]
+
+
 @st.composite
 def _traces(draw):
     """A noisy Gaussian on a random grid, sparse weights with zeros, and
@@ -473,9 +489,9 @@ def _blocks(draw):
     """1-8 noisy Gaussians on one random grid with their starting weights,
     an iteration count and a floor (``None``: each row's default).  A row
     may start from dense, sparse, two or no positive weights, or from bad
-    weights (a NaN, a negative entry, a wrong length); some rows have no
-    positive sample, and half the amplitudes are 1e303 to 1e307, where
-    rebuilt weights overflow."""
+    weights (a NaN or a negative entry); some rows have no positive
+    sample, and half the amplitudes are 1e303 to 1e307, where rebuilt
+    weights overflow."""
     n = draw(st.integers(3, 1200))
     dx = draw(st.floats(1e-3, 10.0))
     x0 = draw(st.floats(-1e3, 1e3))
@@ -490,7 +506,7 @@ def _blocks(draw):
         clean = 10.0 ** scale * np.exp(-0.5 * ((x - mu) / sigma) ** 2)
         noisy = clean + clean.max() * 10.0 ** gen.uniform(-4, 0) * gen.standard_normal(n)
         kind = draw(st.sampled_from(["dense", "sparse", "sparse", "two", "zero", "nan",
-                                     "negative", "short", "no_peak"]))
+                                     "negative", "no_peak"]))
         w = gen.uniform(0.0, 3.0, n)
         if kind == "sparse":
             w *= gen.random(n) < max(gen.uniform(0.02, 1.0), 3.0 / n)
@@ -500,8 +516,6 @@ def _blocks(draw):
             w[gen.integers(n)] = np.nan
         elif kind == "negative":
             w[gen.integers(n)] = -1.0
-        elif kind == "short":
-            w = w[1:]
         elif kind == "no_peak":
             noisy = -np.abs(noisy)
         samples.append(noisy)

@@ -2,12 +2,13 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from gaussfit import (
     GaussFitError,
     GaussianParams,
+    InvalidAmplitudeError,
     InvalidParamsError,
     InvalidWindowError,
     NoiseSpec,
@@ -217,8 +218,9 @@ _TABLE = build_erf_table(0.1, 0.01, 991)  # module level: hypothesis runs many e
 
 
 @st.composite
-def _scaled_signals(draw):
-    """A noisy bell on a random grid, a window length and ``k`` of ``2**k``."""
+def _scaled_signals(draw, k_max):
+    """A noisy bell on a random grid, a window length and ``k`` of ``2**k``
+    in ``[-k_max, k_max]``, where scaling the samples by ``2**k`` is exact."""
     n = draw(st.integers(20, 1500))
     dx = 10.0 ** draw(st.floats(-3.0, 0.0))
     x0 = draw(st.floats(-100.0, 100.0))
@@ -229,7 +231,9 @@ def _scaled_signals(draw):
     width = draw(st.floats(0.05, 0.5)) * n
     clean = amplitude * np.exp(-0.5 * ((np.arange(n) - center) / width) ** 2)
     y = clean + amplitude * 10.0 ** (-snr_db / 20.0) * gen.standard_normal(n)
-    return (SampledSignal(dx, y, x0), draw(st.integers(1, 11)), draw(st.integers(-20, 20)))
+    k = draw(st.integers(-k_max, k_max))
+    assume((np.ldexp(y * 2.0**k, -k) == y).all())
+    return (SampledSignal(dx, y, x0), draw(st.integers(1, 11)), k)
 
 
 def _outcome(spec, sig):
@@ -239,19 +243,25 @@ def _outcome(spec, sig):
         return err
 
 
+# M1's full sum overflows near the top of the float range; M3 scales its rows
+_K_MAX = {"M1": 20, "M3": 1000}
+
+
 @pytest.mark.parametrize("mid", ["M1", "M3"])
 @settings(max_examples=150, deadline=None)
-@given(case=_scaled_signals())
-def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, case):
+@given(data=st.data())
+def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, data):
     """Scaling the samples by ``2**k`` scales every sum, area, ratio and
     template product of M1 and M3 exactly, so the fit scales exactly: the
     amplitude and the split areas by ``2**k``, everything else unchanged;
-    or both raise the same error class at the same stage."""
-    sig, window_l, k = case
+    or both raise the same error class at the same stage.  M4 then starts
+    from the scaled M3 fit, not from the samples."""
+    sig, window_l, k = data.draw(_scaled_signals(_K_MAX[mid]))
     scale = 2.0**k
     spec = MethodSpec(mid, window_l=window_l)
     base = _outcome(spec, sig)
-    scaled = _outcome(spec, SampledSignal(sig.delta_x, sig.samples * scale, sig.x0))
+    moved = SampledSignal(sig.delta_x, sig.samples * scale, sig.x0)
+    scaled = _outcome(spec, moved)
     if isinstance(base, GaussFitError):
         assert (type(scaled), scaled.stage) == (type(base), base.stage)
         return
@@ -262,3 +272,66 @@ def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, case):
     want = {key: value * scale if key in ("s_beta", "s_alpha") else value
             for key, value in base.diagnostics.items()}
     assert list(scaled.diagnostics.items()) == list(want.items())
+    if mid == "M3":
+        m4 = _outcome(MethodSpec("M4", window_l=window_l), moved)
+        if isinstance(m4, GaussFitError):
+            assert m4.stage == "wls_trace"
+        else:
+            assert (m4.status, m4.diagnostics) == (scaled.status, scaled.diagnostics)
+
+
+def test_m3_amplitude_beyond_the_float_range_is_a_typed_error():
+    """M3 fits a row scaled by a power of two; an amplitude that overflows
+    when scaled back is a typed error of the amplitude stage."""
+    sig = SampledSignal(1.0, [1.0, 1.79e308, 1.79e308, 1.79e308, 1.0])
+    with pytest.raises(InvalidAmplitudeError, match="overflows") as err:
+        run_method(MethodSpec("M3"), sig, _TABLE)
+    assert err.value.stage == "refine_amplitude"
+
+
+def _protocol_signals():
+    """The 120 standard-protocol trial signals of master seed 7 at 12 and
+    at 30 dB, as signals of their own."""
+    from gaussfit.bench import BenchConfig, _trial_blocks
+
+    config = BenchConfig(trials=120, master_seed=7)
+    return [SampledSignal(block.delta_x, block.samples[i], block.x0)
+            for snr_db in (12.0, 30.0)
+            for block, _, _ in _trial_blocks(config, 0, snr_db)
+            for i in range(len(block))]
+
+
+def _gap(base, moved, mu):
+    """The largest relative gap between ``moved`` and ``base`` in A and
+    sigma, and between ``moved``'s mu and ``mu``; two errors of one class
+    have none."""
+    if isinstance(base, GaussFitError) or isinstance(moved, GaussFitError):
+        return 0.0 if type(base) is type(moved) else np.inf
+    a, b = base.params, moved.params
+    return max(abs(b.amplitude / a.amplitude - 1.0), abs(b.sigma / a.sigma - 1.0),
+               abs(b.mu - mu) / abs(mu))
+
+
+# Ten times the largest gaps measured on these signals, or more.  M3 and M4
+# are not mirror invariant: the split puts the peak sample into s_alpha,
+# so reversing the samples moves it into s_beta.
+_SHIFT_RTOL = {"M1": 2e-13, "M2": 4e-9, "M3": 2e-13, "M4": 4e-9, "M5": 4e-9}
+_MIRROR_RTOL = {"M1": 5e-15, "M2": 1e-10, "M5": 2e-11}
+
+
+@pytest.mark.parametrize("mid", ["M1", "M2", "M3", "M4", "M5"])
+def test_fits_move_with_the_grid(mid):
+    """Moving the grid to start at x0 moves mu by x0, and reversing the
+    samples on the grid mirrored about 0 negates mu; A and sigma stay, up
+    to the rounding the moved grid brings.  Errors stay the same class."""
+    spec = MethodSpec(mid)
+    for sig in _protocol_signals():
+        base = _outcome(spec, sig)
+        mu = base.params.mu if not isinstance(base, GaussFitError) else 1.0
+        for x0 in (-100.0, 0.37, 1000.0):
+            moved = _outcome(spec, SampledSignal(sig.delta_x, sig.samples, x0))
+            assert _gap(base, moved, mu + x0) <= _SHIFT_RTOL[mid], (x0, base, moved)
+        if mid in _MIRROR_RTOL:
+            mirrored = SampledSignal(sig.delta_x, sig.samples[::-1].copy(), -sig.grid[-1])
+            moved = _outcome(spec, mirrored)
+            assert _gap(base, moved, -mu) <= _MIRROR_RTOL[mid], (base, moved)

@@ -6,7 +6,9 @@ traced result.  ``mc_init`` runs only the stage-1 methods, ``mc_snr12``
 all five through the reweighting kernel, and ``mc_iters12`` the iteration
 sweep, whose cells the harness scores trace point by trace point.  Stage 1
 runs once per trial and family, so ``mc_snr12`` fits the split area once
-per trial for M3 and M4 together.
+per trial for M3 and M4 together.  ``fit_files`` runs one ``gaussfit fit``
+per corpus file, each method on a fifth of them, so it is the workload on
+which the per-call metrics of the reweighting kernel read non-zero.
 """
 
 import json
@@ -47,3 +49,11 @@ def test_traced_run_through_the_reweighting_kernel_is_well_formed():
 
 def test_traced_run_of_the_iteration_sweep_is_well_formed():
     _check_traced_run("mc_iters12")
+
+
+def test_traced_run_of_single_fits_counts_kernel_and_method_calls():
+    metrics = _check_traced_run("fit_files")
+    # M2, M4 and M5 each run one trace per fit
+    assert metrics["linfit.wls_trace.calls"] == 0.6
+    for mid in ("M1", "M2", "M3", "M4", "M5"):
+        assert metrics[f"methods.{mid}.calls"] == 0.2
