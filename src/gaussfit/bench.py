@@ -58,7 +58,7 @@ import time
 from dataclasses import dataclass, field
 
 from . import rng
-from .errors import GaussFitError, SingularSystemError, UnknownMethodError
+from .errors import GaussFitError, SingularSystemError
 from .initfit import ErfTable, default_erf_table
 from .methods import METHOD_IDS, MethodSpec, stage_one, trace_block
 from .results import CONVERGED
@@ -137,13 +137,12 @@ class BenchConfig:
                 power = math.nan
             if not 0 < power < math.inf:
                 raise GaussFitError(f"SNR {snr_db} dB gives no finite, positive noise power")
-        for mid in self.methods:
-            if mid not in METHOD_IDS:
-                raise UnknownMethodError(f"unknown method id {mid!r}")
-        if not self.methods:
-            raise GaussFitError("at least one method required")
         if any(k is not None and k < 1 for k in (self.stage2_iters, self.m5_iters)):
             raise GaussFitError("stage2_iters and m5_iters must be >= 1")
+        for mid in self.methods:
+            self.method_spec(mid)  # MethodSpec checks the id
+        if not self.methods:
+            raise GaussFitError("at least one method required")
         if self.iter_sweep is not None:
             if not self.iter_sweep or any(k < 1 for k in self.iter_sweep):
                 raise GaussFitError("iteration sweep entries must be >= 1")

@@ -423,9 +423,7 @@ def _m3_initial_fit_block(
     denominator reaches its message only as 0, inf or NaN, which scaling
     keeps.
     """
-    _, exps = np.frexp(np.maximum.reduce(np.abs(block.samples), 1))
-    block = SignalBlock(block.delta_x, np.ldexp(block.samples, -exps[:, None]), block.x0)
-    exps = exps.tolist()
+    block, exps = _scaled_rows(block)
     try:
         peaks = windowed_peak(block, window_l)
     except InvalidWindowError as err:
@@ -512,6 +510,16 @@ def _m3_initial_fit_block(
         outcomes[i] = FitResult(params=params, coeffs=None, method="M3",
                                 iterations_run=0, status=status, diagnostics=diagnostics)
     return outcomes
+
+
+def _scaled_rows(block: SignalBlock) -> tuple[SignalBlock, list]:
+    """``block`` with each row divided by ``2**e``, ``e`` the
+    :func:`math.frexp` exponent of the row's largest ``|y|``, and each
+    row's ``e``.  The division is exact wherever no sample turns
+    subnormal; :func:`_unscaled` scales a result back."""
+    _, exps = np.frexp(np.maximum.reduce(np.abs(block.samples), 1))
+    scaled = SignalBlock(block.delta_x, np.ldexp(block.samples, -exps[:, None]), block.x0)
+    return scaled, exps.tolist()
 
 
 def _unscaled(value: float, e: int) -> float:

@@ -47,6 +47,8 @@ from .errors import (
 from .initfit import (
     ErfTable,
     PeakEstimate,
+    _scaled_rows,
+    _unscaled,
     m3_initial_fit,
     naive_peak,
     sigma_area_m1,
@@ -57,9 +59,9 @@ from .signal import (
     GaussianParams,
     SampledSignal,
     SignalBlock,
+    _clamp_floor,
     eval_gaussian,
     log_transform,
-    resolve_clamp_floor,
 )
 
 __all__ = [
@@ -86,6 +88,9 @@ class MethodSpec:
     is the moving-average window of the split-area peak pick of M3 and
     M4, and ``clamp_floor`` the log clamp floor of M2, M4 and M5 (None:
     each signal's default floor).
+
+    Construction checks every value for every method, read or not: the id,
+    ``iters`` and ``window_l`` >= 1, and ``clamp_floor`` finite and > 0.
     """
 
     method_id: str
@@ -95,26 +100,34 @@ class MethodSpec:
 
     def __post_init__(self):
         if self.method_id not in METHOD_IDS:
-            raise UnknownMethodError(f"unknown method id {self.method_id!r}")
-        if self.method_id in _DEFAULT_ITERS:
-            if self.iters is None:
-                object.__setattr__(self, "iters", _DEFAULT_ITERS[self.method_id])
-            elif self.iters < 1:
-                raise GaussFitError(f"iters must be >= 1, got {self.iters}")
+            raise UnknownMethodError(f"unknown method id {self.method_id!r};"
+                                     f" valid: {', '.join(METHOD_IDS)}")
+        if self.iters is None:
+            object.__setattr__(self, "iters", _DEFAULT_ITERS.get(self.method_id))
+        elif self.iters < 1:
+            raise GaussFitError(f"iters must be >= 1, got {self.iters}")
         if self.window_l < 1:
             raise InvalidWindowError(f"window_l must be >= 1, got {self.window_l}")
+        if self.clamp_floor is not None:  # the explicit-floor branch reads no samples
+            _clamp_floor(0.0, self.clamp_floor)
 
 
 def _m1_block(block: SignalBlock) -> list:
-    """M1 on every row: its :class:`FitResult` or its typed error."""
+    """M1 on every row: its :class:`FitResult` or its typed error.
+
+    Like the split-area fit, it runs on the rows scaled by a power of two,
+    so the full sum cannot overflow; the width is a ratio of scaled values,
+    and only the amplitude is scaled back.
+    """
+    block, exps = _scaled_rows(block)
     peaks = naive_peak(block)
     amplitudes = [p.amplitude_hat if isinstance(p, PeakEstimate) else 1.0 for p in peaks]
     outcomes: list = []
-    for peak, sigma in zip(peaks, sigma_area_m1(block, amplitudes)):
+    for peak, sigma, e in zip(peaks, sigma_area_m1(block, amplitudes), exps):
         outcome = peak
         if isinstance(peak, PeakEstimate):
             try:
-                params = GaussianParams(peak.amplitude_hat, peak.mu_hat, sigma)
+                params = GaussianParams(_unscaled(peak.amplitude_hat, e), peak.mu_hat, sigma)
                 outcome = FitResult(params=params, method="M1", iterations_run=0,
                                     diagnostics={"n_hat": peak.n_hat})
             except InvalidParamsError as err:  # a sample sum <= 0 gives no width
@@ -170,7 +183,7 @@ def start_weights(
         w0 = eval_gaussian(stage1.params, signal.grid)
         diagnostics.update(stage1.diagnostics)
         return w0, stage1.status, diagnostics
-    floor = resolve_clamp_floor(signal, spec.clamp_floor)
+    floor = _clamp_floor(float(np.max(signal.samples)), spec.clamp_floor)
     return np.exp(log_transform(signal, floor)), status, diagnostics
 
 

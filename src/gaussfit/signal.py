@@ -345,13 +345,9 @@ def default_clamp_floor(signal: SampledSignal) -> float:
     return _clamp_floor(float(np.max(signal.samples)), None)
 
 
-def resolve_clamp_floor(signal: SampledSignal, clamp_floor: float | None) -> float:
-    """Explicit floor if given, else the default policy."""
-    return _clamp_floor(float(np.max(signal.samples)), clamp_floor)
-
-
 def _clamp_floor(top: float, clamp_floor: float | None) -> float:
-    """:func:`resolve_clamp_floor` of samples whose largest is ``top``."""
+    """The clamp floor of samples whose largest is ``top``: ``clamp_floor``
+    if given (``top`` is then not read), else the default policy."""
     if clamp_floor is not None:
         if math.isfinite(clamp_floor) and clamp_floor > 0:
             return float(clamp_floor)

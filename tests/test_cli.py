@@ -326,7 +326,15 @@ def test_bench_iters_rejects_fractional_sweep(tmp_path):
 def test_bench_rejects_unknown_method(tmp_path):
     res = _run("bench", "snr", "--trials", "1", "--methods", "M9",
                "--out", str(tmp_path / "x.csv"))
-    assert res.returncode == 2
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == "gaussfit: unknown method id 'M9'; valid: M1, M2, M3, M4, M5\n"
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_bench_rejects_an_empty_method_list(tmp_path):
+    res = _run("bench", "snr", "--trials", "1", "--methods", " , ",
+               "--out", str(tmp_path / "x.csv"))
+    assert (res.returncode, res.stderr) == (2, "gaussfit: at least one method required\n")
 
 
 def test_negative_snr_range_with_equals_form(tmp_path):
@@ -344,7 +352,16 @@ def test_fit_iters_below_one_is_usage_error_for_every_method(noiseless_csv):
         res = _run("fit", "--input", str(noiseless_csv), "--method", method,
                    "--iters", "0", "--output", "-")
         assert (res.returncode, res.stdout) == (2, ""), method
-        assert "--iters must be >= 1" in res.stderr, method
+        assert res.stderr == "gaussfit: iters must be >= 1, got 0\n", method
+
+
+@pytest.mark.parametrize("floor", ["nan", "inf", "0", "-1"])
+def test_fit_bad_clamp_floor_is_usage_error(noiseless_csv, floor):
+    res = _run("fit", "--input", str(noiseless_csv), "--method", "M3",
+               f"--clamp-floor={floor}", "--output", "-")
+    assert (res.returncode, res.stdout) == (2, "")
+    assert res.stderr == (f"gaussfit: clamp floor must be finite and > 0,"
+                          f" got {float(floor)!r}\n")
 
 
 def test_fit_window_below_one_is_usage_error(noiseless_csv):
@@ -402,14 +419,16 @@ _HOSTILE = {
               [0.1, 0.5, 1.0, 0.6, 0.2, 0.05, 0.01]),
     "infinite_step": ([-1.5e308, 1.5e308, 1.6e308], [1.0, 2.0, 1.0]),
     "overflowing_step": ([-1e308, -9e307, 1e308, 1.1e308], [1.0, 2.0, 1.0, 0.5]),
+    # s_alpha is beyond the float range once scaled back: written as null
+    "flat_huge": ([float(i) for i in range(7)], [1.7e308] * 7),
 }
 
 # exit code, or (A, mu, sigma, status) of a fit that succeeded
 _HOSTILE_OUTCOMES = {
     "huge": {
-        "M1": 3,
-        "M2": (1.0294800245462929e+308, 2.138488986628011, 0.7043908653095114,
-               "degenerate-fallback"),
+        "M1": (1e+308, 2.0, 0.7220855398938038, "converged"),
+        "M2": (1.024287704660874e+308, 2.1371712947935393, 0.7120767049223221,
+               "converged"),
         "M3": (8.67087968868877e+307, 2.0, 0.9504204642826641, "converged"),
         "M4": (1.0175302369605918e+308, 2.134862692736138, 0.7253469375894462,
                "converged"),
@@ -426,14 +445,31 @@ _HOSTILE_OUTCOMES = {
         "M5": (1.0214397019931097e+160, 2.1314069122928156, 0.717531631825866,
                "converged"),
     },
-    "tiny": {"M1": (1e-319, 2.0, 0.726889265581267, "converged"),
+    "tiny": {"M1": (1e-319, 2.0, 0.7268870265140334, "converged"),
              "M2": 3, "M3": (8.6704e-320, 2.0, 0.9516155954489767, "converged"),
              "M4": 3, "M5": 3},
     "far_x": {"M1": (1.0, 1.0000000002e+300, 9.813975580809336e+289, "converged"),
               "M2": 3, "M3": 3, "M4": 3, "M5": 3},
     "infinite_step": dict.fromkeys(("M1", "M2", "M3", "M4", "M5"), 2),
     "overflowing_step": dict.fromkeys(("M1", "M2", "M3", "M4", "M5"), 2),
+    "flat_huge": {
+        "M1": (1.7e+308, 0.0, 2.7925959628100294, "converged"),
+        "M2": (1.7121815313990528e+308, -655064499459.1492, 5481737882501.752,
+               "converged"),
+        "M3": (1.7018894065774722e+308, 1.0, 59.94897959183673, "converged"),
+        "M4": (1.7000000000001406e+308, 3.0, 3397774.5792868603, "converged"),
+        "M5": 3,
+    },
 }
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def _strict_json(text: str):
+    """``text`` parsed as JSON, refusing the NaN and Infinity tokens."""
+    return json.loads(text, parse_constant=_reject_constant)
 
 
 @pytest.mark.parametrize("method", ["M1", "M2", "M3", "M4", "M5"])
@@ -455,9 +491,11 @@ def test_fit_on_extreme_inputs_prints_no_numpy_warning(name, method, tmp_path, c
         assert (code, out) == (want, "")
         assert err.startswith("gaussfit: ") and err.count("\n") == 1
     else:
-        payload = json.loads(out)
+        payload = _strict_json(out)
         assert (code, err) == (0, "")
         assert (payload["A"], payload["mu"], payload["sigma"], payload["status"]) == want
+        if name == "flat_huge" and method in ("M3", "M4"):
+            assert payload["diagnostics.s_alpha"] is None
 
 
 @st.composite
@@ -515,7 +553,7 @@ def test_fit_ends_in_a_finite_fit_or_a_typed_exit_property(fit_dir, data, method
         code = cli.main(argv)
     assert code in (0, 2, 3)
     if code == 0:
-        fit = json.loads(out.read_text())
+        fit = _strict_json(out.read_text())
         assert all(math.isfinite(fit[key]) for key in ("A", "mu", "sigma"))
 
 

@@ -9,6 +9,7 @@ from gaussfit import (
     GaussFitError,
     GaussianParams,
     InvalidAmplitudeError,
+    InvalidClampError,
     InvalidParamsError,
     InvalidWindowError,
     NoiseSpec,
@@ -56,15 +57,24 @@ def test_every_method_recovers_near_complete_noiseless(erf_table):
 
 
 def test_unknown_method_rejected():
-    with pytest.raises(UnknownMethodError):
+    with pytest.raises(UnknownMethodError, match=r"'M9'; valid: M1, M2, M3, M4, M5$"):
         MethodSpec("M9")
+
+
+@pytest.mark.parametrize("floor", [0.0, -1.0, float("nan"), float("inf")])
+def test_clamp_floor_is_checked_at_construction(floor):
+    for mid in ("M1", "M2", "M3", "M4", "M5"):
+        with pytest.raises(InvalidClampError, match="clamp floor must be finite and > 0"):
+            MethodSpec(mid, clamp_floor=floor)
+        assert MethodSpec(mid, clamp_floor=1e-300).clamp_floor == 1e-300
 
 
 def test_iteration_count_preconditions():
     assert [MethodSpec(mid).iters for mid in ("M2", "M4", "M5")] == [2, 2, 12]
     assert MethodSpec("M4", iters=3).iters == 3
-    for mid in ("M2", "M4", "M5"):
-        with pytest.raises(GaussFitError, match="iters must be >= 1"):
+    # M1 and M3 do not iterate, but a count below 1 is refused for them too
+    for mid in ("M1", "M2", "M3", "M4", "M5"):
+        with pytest.raises(GaussFitError, match=r"^iters must be >= 1, got 0$"):
             MethodSpec(mid, iters=0)
     with pytest.raises(InvalidWindowError, match="window_l must be >= 1, got 0"):
         MethodSpec("M3", window_l=0)
@@ -243,10 +253,6 @@ def _outcome(spec, sig):
         return err
 
 
-# M1's full sum overflows near the top of the float range; M3 scales its rows
-_K_MAX = {"M1": 20, "M3": 1000}
-
-
 @pytest.mark.parametrize("mid", ["M1", "M3"])
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -256,7 +262,7 @@ def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, data):
     amplitude and the split areas by ``2**k``, everything else unchanged;
     or both raise the same error class at the same stage.  M4 then starts
     from the scaled M3 fit, not from the samples."""
-    sig, window_l, k = data.draw(_scaled_signals(_K_MAX[mid]))
+    sig, window_l, k = data.draw(_scaled_signals(1000))
     scale = 2.0**k
     spec = MethodSpec(mid, window_l=window_l)
     base = _outcome(spec, sig)
@@ -278,6 +284,20 @@ def test_m1_m3_amplitude_equivariant_under_powers_of_two(mid, data):
             assert m4.stage == "wls_trace"
         else:
             assert (m4.status, m4.diagnostics) == (scaled.status, scaled.diagnostics)
+
+
+@pytest.mark.parametrize("k", [-1020, -1000, 1000, 1017, 1020])
+def test_m1_fits_the_standard_bell_at_any_peak(k):
+    """M1 sums each row scaled by a power of two, so its full sum does not
+    overflow near the top of the float range (it did from k = 1017): the
+    width is the unit-peak width bit for bit, and the amplitude scales."""
+    unit = sample_gaussian(LONG_TAIL, GRID_DX, GRID_N)
+    moved = SampledSignal(unit.delta_x, unit.samples * 2.0**k, unit.x0)
+    base = run_method(MethodSpec("M1"), unit, _TABLE)
+    fit = run_method(MethodSpec("M1"), moved, _TABLE)
+    assert fit.params.sigma == base.params.sigma
+    assert fit.params.amplitude == base.params.amplitude * 2.0**k
+    assert fit.params.mu == base.params.mu
 
 
 def test_m3_amplitude_beyond_the_float_range_is_a_typed_error():
