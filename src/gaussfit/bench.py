@@ -62,7 +62,7 @@ from .errors import GaussFitError, SingularSystemError
 from .initfit import ErfTable, default_erf_table
 from .methods import METHOD_IDS, MethodSpec, stage_one, trace_block
 from .results import CONVERGED
-from .signal import GaussianParams, NoiseSpec, sample_gaussian
+from .signal import GaussianParams, NoiseSpec, _write_in_place, sample_gaussian
 
 __all__ = [
     "BenchConfig",
@@ -394,11 +394,11 @@ def run_bench_iters(config: BenchConfig, table: ErfTable | None = None) -> Bench
 
 def write_report_csv(report: BenchReport, path) -> None:
     """Write the report; floats carry 17 significant digits."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("method,sweep,param,mse,trials,degenerate,mean_time_us,seed\n")
-        for row in report.rows:
-            sweep = f"{int(row.sweep)}" if report.mode == "iters" else f"{row.sweep:.17g}"
-            fh.write(
-                f"{row.method},{sweep},{row.param},{row.mse:.17g},"
-                f"{row.trials},{row.degenerate},{row.mean_time_us:.17g},{row.seed}\n"
-            )
+    lines = ["method,sweep,param,mse,trials,degenerate,mean_time_us,seed\n"]
+    for row in report.rows:
+        sweep = f"{int(row.sweep)}" if report.mode == "iters" else f"{row.sweep:.17g}"
+        lines.append(
+            f"{row.method},{sweep},{row.param},{row.mse:.17g},"
+            f"{row.trials},{row.degenerate},{row.mean_time_us:.17g},{row.seed}\n"
+        )
+    _write_in_place(path, "".join(lines))

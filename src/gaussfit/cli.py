@@ -17,8 +17,6 @@ import argparse
 import functools
 import json
 import math
-import os
-import stat
 import sys
 
 from .bench import BenchConfig, run_bench_iters, run_bench_snr, write_report_csv
@@ -30,10 +28,14 @@ from .initfit import (
     write_erf_table_csv,
 )
 from .methods import METHOD_IDS, MethodSpec, run_method
-from .signal import read_signal_csv
+from .signal import _write_in_place, read_signal_csv
 
 _EXIT_USAGE = 2
 _EXIT_FIT = 3
+
+# indent=2 forces the pure-Python encoder; with these separators the C
+# encoder puts each member of a flat object on its own line, as indent=2 does
+_FLAT_JSON = json.JSONEncoder(allow_nan=False, separators=(",\n  ", ": "))
 
 
 def _parse_range(text: str, what: str) -> tuple[float, float, float]:
@@ -65,8 +67,9 @@ def _parse_methods(text: str) -> tuple[str, ...]:
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser, built on first use and shared by later calls."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The argument parser and its subcommands' parsers by name, built on
+    first use and shared by later calls."""
     parser = argparse.ArgumentParser(
         prog="gaussfit",
         description="Log-domain Gaussian fitting and its Monte Carlo benchmark.",
@@ -130,7 +133,27 @@ def _build_parser() -> argparse.ArgumentParser:
     erf.add_argument("--kstep", type=float, default=0.01, help="k spacing (default 0.01)")
     erf.add_argument("--kmax", type=float, default=10.0, help="last k (default 10)")
     erf.add_argument("--out", required=True, help="output CSV path")
-    return parser
+    return parser, sub.choices
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """``parse_args`` of the whole tree, which hands everything after a
+    subcommand's name to that subcommand's parser; doing that directly
+    halves the parse."""
+    parser, commands = _build_parser()
+    if not argv or argv[0] not in commands:
+        return parser.parse_args(argv)
+    args, extras = commands[argv[0]].parse_known_args(argv[1:])
+    if extras:
+        parser.error(f"unrecognized arguments: {' '.join(extras)}")
+    args.command = argv[0]
+    return args
+
+
+def _flat_json(payload: dict) -> str:
+    """``json.dumps(payload, indent=2, allow_nan=False) + "\\n"`` of a
+    non-empty object whose values are all scalars."""
+    return "{\n  " + _FLAT_JSON.encode(payload)[1:-1] + "\n}\n"
 
 
 def _cmd_fit(args) -> int:
@@ -164,19 +187,12 @@ def _cmd_fit(args) -> int:
         # a split area beyond the float range has no JSON number
         finite = not isinstance(value, float) or math.isfinite(value)
         payload[f"diagnostics.{key}"] = value if finite else None
-    text = json.dumps(payload, indent=2, allow_nan=False) + "\n"
+    text = _flat_json(payload)
     try:
         if args.output == "-":
             sys.stdout.write(text)
         else:
-            # overwrite in place, then cut a regular file to the new length:
-            # truncating to zero first frees the old block and makes close()
-            # start writeback; a FIFO, tty or /dev/null is never truncated
-            fd = os.open(args.output, os.O_WRONLY | os.O_CREAT, 0o666)
-            with open(fd, "w", encoding="utf-8") as fh:
-                fh.write(text)
-                if stat.S_ISREG(os.fstat(fd).st_mode):
-                    fh.truncate()
+            _write_in_place(args.output, text)
     except OSError as err:
         print(f"gaussfit: cannot write {args.output}: {err}", file=sys.stderr)
         return _EXIT_USAGE
@@ -241,7 +257,7 @@ def _cmd_erftable(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     if args.command == "fit":
         return _cmd_fit(args)
     if args.command == "bench":

@@ -48,7 +48,13 @@ from .errors import (
     ParseError,
 )
 from .results import CONVERGED, DEGENERATE_FALLBACK, FitResult
-from .signal import GaussianParams, SampledSignal, SignalBlock, read_two_column_csv
+from .signal import (
+    GaussianParams,
+    SampledSignal,
+    SignalBlock,
+    _write_in_place,
+    read_two_column_csv,
+)
 
 __all__ = [
     "PeakEstimate",
@@ -532,11 +538,8 @@ def _unscaled(value: float, e: int) -> float:
 
 def write_erf_table_csv(table: ErfTable, path) -> None:
     """Persist the table; 17 significant digits round-trip exactly."""
-    k = table.k
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("k,erf_k_over_sqrt2\n")
-        for kj, vj in zip(k, table.values):
-            fh.write(f"{kj:.17g},{vj:.17g}\n")
+    rows = "".join(f"{kj:.17g},{vj:.17g}\n" for kj, vj in zip(table.k, table.values))
+    _write_in_place(path, "k,erf_k_over_sqrt2\n" + rows)
 
 
 def read_erf_table_csv(path) -> ErfTable:

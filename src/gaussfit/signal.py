@@ -16,6 +16,8 @@ block of one.  Every row is bit-identical to the signal sampled alone.
 from __future__ import annotations
 
 import math
+import os
+import stat
 import sys
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -376,12 +378,29 @@ def log_transform(signal: SampledSignal, clamp_floor: float) -> np.ndarray:
 
 def write_signal_csv(signal: SampledSignal, path) -> None:
     """Write the two-column ``x,y`` form read back by :func:`read_signal_csv`."""
-    x = signal.grid
-    y = signal.samples
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("x,y\n")
-        for xi, yi in zip(x, y):
-            fh.write(f"{xi:.17g},{yi:.17g}\n")
+    rows = "".join(f"{xi:.17g},{yi:.17g}\n" for xi, yi in zip(signal.grid, signal.samples))
+    _write_in_place(path, "x,y\n" + rows)
+
+
+def _write_in_place(path, text: str) -> None:
+    """Write ``text`` over what ``path`` holds, then cut a regular file that
+    was longer to the new length.
+
+    Truncating to zero before the write would free the old blocks and make
+    ``close()`` start writeback (ext4 does so on a truncated file).  A FIFO,
+    tty or ``/dev/null`` is never cut.
+    """
+    data = text.encode()
+    fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+    try:
+        written = os.write(fd, data)
+        while written < len(data):
+            written += os.write(fd, data[written:])
+        info = os.fstat(fd)
+        if stat.S_ISREG(info.st_mode) and info.st_size > len(data):
+            os.ftruncate(fd, len(data))
+    finally:
+        os.close(fd)
 
 
 def read_two_column_csv(
@@ -407,8 +426,8 @@ def read_two_column_csv(
     converted at once by ``float``, and only when that fails is the first
     bad row looked for.
     """
-    with open(path, "rb") as fh:
-        data = fh.read()
+    with open(path, "rb", buffering=0) as fh:
+        data = fh.readall()
     header = ",".join(names).encode() + b"\n"
     values = _plain_cells(data[len(header):]) if data.startswith(header) else None
     if values is not None and values.size >= 2 * min_rows:

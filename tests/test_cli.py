@@ -7,6 +7,7 @@ import json
 import math
 import os
 import re
+import stat
 import subprocess
 import sys
 import warnings
@@ -53,6 +54,72 @@ def small_table_csv(tmp_path_factory):
 def test_help_exits_zero():
     assert _run("--help").returncode == 0
     assert _run("bench", "snr", "--help").returncode == 0
+
+
+# What argparse printed and returned for these command lines when ``main``
+# parsed every call through the whole parser tree.  ``main`` now hands a
+# known subcommand's arguments to that subcommand's parser alone, and must
+# print and return the same.
+_USAGE = "usage: gaussfit [-h] {fit,bench,erftable} ...\n"
+_FIT_USAGE = (
+    "usage: gaussfit fit [-h] --input INPUT --method {M1,M2,M3,M4,M5}\n"
+    "                    [--iters ITERS] [--window-l WINDOW_L]\n"
+    "                    [--clamp-floor CLAMP_FLOOR] [--erf-table ERF_TABLE]\n"
+    "                    --output OUTPUT\n"
+)
+_DISPATCH = {
+    "no_arguments": ([], 2, "", _USAGE + "gaussfit: error: the following arguments are"
+                     " required: command\n"),
+    "unknown_command": (["nope"], 2, "", _USAGE + "gaussfit: error: argument command:"
+                        " invalid choice: 'nope' (choose from 'fit', 'bench', 'erftable')\n"),
+    "help": (["--help"], 0, _USAGE + (
+        "\n"
+        "Log-domain Gaussian fitting and its Monte Carlo benchmark.\n"
+        "\n"
+        "positional arguments:\n"
+        "  {fit,bench,erftable}\n"
+        "    fit                 fit one x,y CSV and write the result as JSON\n"
+        "    bench               Monte Carlo MSE benchmarks\n"
+        "    erftable            build the error-function lookup table\n"
+        "\n"
+        "options:\n"
+        "  -h, --help            show this help message and exit\n"), ""),
+    "double_dash": (["--", "fit", "--input", "x", "--method", "M1", "--output", "-"], 2, "",
+                    _USAGE + "gaussfit: error: argument command: invalid choice: '--'"
+                    " (choose from 'fit', 'bench', 'erftable')\n"),
+    "fit_no_options": (["fit"], 2, "", _FIT_USAGE + "gaussfit fit: error: the following"
+                       " arguments are required: --input, --method, --output\n"),
+    "fit_stray": (["fit", "--input", "x", "--method", "M1", "--output", "-", "stray"], 2, "",
+                  _USAGE + "gaussfit: error: unrecognized arguments: stray\n"),
+    "fit_abbreviation": (["fit", "--inp", "x", "--method", "M1", "--output", "-"], 2, "",
+                         "gaussfit: cannot read x: [Errno 2] No such file or directory:"
+                         " 'x'\n"),
+    "bench_no_mode": (["bench"], 2, "", "usage: gaussfit bench [-h] {snr,iters} ...\n"
+                      "gaussfit bench: error: the following arguments are required:"
+                      " bench_mode\n"),
+    "bench_stray": (["bench", "snr", "--out", "x", "stray"], 2, "",
+                    _USAGE + "gaussfit: error: unrecognized arguments: stray\n"),
+    "erftable_missing_value": (
+        ["erftable", "--kmin"], 2, "",
+        "usage: gaussfit erftable [-h] [--kmin KMIN] [--kstep KSTEP] [--kmax KMAX]\n"
+        "                         --out OUT\n"
+        "gaussfit erftable: error: argument --kmin: expected one argument\n"),
+}
+
+
+@pytest.mark.parametrize("argv, code, out, err", list(_DISPATCH.values()), ids=list(_DISPATCH))
+def test_dispatch_prints_and_returns_what_the_whole_tree_did(argv, code, out, err, tmp_path,
+                                                            monkeypatch, capsys):
+    from gaussfit import cli
+
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    monkeypatch.chdir(tmp_path)
+    try:
+        got = cli.main(argv)
+    except SystemExit as exc:
+        got = exc.code
+    assert (got, *capsys.readouterr()) == (code, out, err)
+    assert not os.listdir(tmp_path)
 
 
 def test_erftable_output(tmp_path):
@@ -235,7 +302,7 @@ def test_fit_output_is_opened_without_truncation(noiseless_csv, tmp_path):
         return real_open(path, flags, *args)
 
     out = tmp_path / "fit.json"
-    with mock.patch.object(cli.os, "open", recording_open):
+    with mock.patch.object(os, "open", recording_open):
         assert cli.main(["fit", "--input", str(noiseless_csv), "--method", "M1",
                          "--output", str(out)]) == 0
     assert len(calls) == 1
@@ -259,6 +326,69 @@ def test_fit_output_to_a_directory_is_usage_error(noiseless_csv, tmp_path, capsy
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1
     assert err.startswith(f"gaussfit: cannot write {tmp_path}: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["erftable", "--kmin", "0.1", "--kstep", "0.1", "--kmax", "1.0"],
+    ["bench", "snr", "--snr=12:1:12", "--trials", "3", "--methods", "M1,M4"],
+], ids=["erftable", "bench"])
+@pytest.mark.parametrize("old", [b"{}", b"x" * 100_000], ids=["shorter", "longer"])
+def test_out_overwrites_an_existing_file_in_place(argv, old, tmp_path):
+    """``bench --out`` and ``erftable --out`` write over an existing file as
+    ``fit --output`` does: same bytes as a fresh path, same inode."""
+    from gaussfit import cli
+
+    fresh, out = tmp_path / "fresh.csv", tmp_path / "out.csv"
+    assert cli.main([*argv, "--out", str(fresh)]) == 0
+    out.write_bytes(old)
+    inode = out.stat().st_ino
+    assert cli.main([*argv, "--out", str(out)]) == 0
+    assert out.read_bytes() == fresh.read_bytes()
+    assert out.stat().st_ino == inode
+
+
+@pytest.mark.parametrize("old, cuts", [(None, []), (b"abc", []), (b"123456", []),
+                                       (b"x" * 100, [6])],
+                         ids=["new", "shorter", "equal", "longer"])
+def test_in_place_writer_cuts_only_a_longer_regular_file(old, cuts, tmp_path):
+    from gaussfit import signal
+
+    path = tmp_path / "out.txt"
+    if old is not None:
+        path.write_bytes(old)
+    with mock.patch.object(os, "ftruncate", wraps=os.ftruncate) as cut:
+        signal._write_in_place(path, "hello\n")
+    assert [call.args[1] for call in cut.call_args_list] == cuts
+    assert path.read_bytes() == b"hello\n"
+
+
+def test_in_place_writer_never_cuts_devnull():
+    """Not even when its size reads larger than the text, as a FIFO's
+    does on some systems while it holds unread data."""
+    from gaussfit import signal
+
+    real_fstat = os.fstat
+
+    def sized_fstat(fd):
+        info = list(real_fstat(fd))
+        info[stat.ST_SIZE] = 1 << 20
+        return os.stat_result(info)
+
+    with (mock.patch.object(os, "ftruncate") as cut,
+          mock.patch.object(os, "fstat", sized_fstat)):
+        signal._write_in_place(os.devnull, "hello\n")
+    cut.assert_not_called()
+
+
+def test_in_place_writer_resumes_a_short_write(tmp_path):
+    """``os.write`` may write only part of its buffer; the rest follows."""
+    from gaussfit import signal
+
+    real_write = os.write
+    path = tmp_path / "out.txt"
+    with mock.patch.object(os, "write", lambda fd, data: real_write(fd, data[:2])):
+        signal._write_in_place(path, "hello, world\n")
+    assert path.read_bytes() == b"hello, world\n"
 
 
 def test_bench_snr_deterministic_bytes(tmp_path):
@@ -493,9 +623,31 @@ def test_fit_on_extreme_inputs_prints_no_numpy_warning(name, method, tmp_path, c
     else:
         payload = _strict_json(out)
         assert (code, err) == (0, "")
+        # the text is what the pure-Python indent=2 encoder writes
+        again = json.loads(out, object_pairs_hook=dict)
+        assert json.dumps(again, indent=2, allow_nan=False) + "\n" == out
         assert (payload["A"], payload["mu"], payload["sigma"], payload["status"]) == want
         if name == "flat_huge" and method in ("M3", "M4"):
             assert payload["diagnostics.s_alpha"] is None
+
+
+# quotes, backslashes, control characters and non-ASCII, among any others
+_JSON_CHARS = st.sampled_from('"\\\x00\x07\x1f\n\t\u00e9\u2028\U0001f600') | st.characters()
+# -0.0, the smallest subnormal and normal, 1e-05 and +-1e+308 among any floats
+_JSON_SCALARS = (
+    st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from([-0.0, 5e-324, 2.2250738585072014e-308, 1e-05, 1e+308, -1e+308])
+    | st.integers() | st.booleans() | st.none() | st.text(_JSON_CHARS)
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(payload=st.dictionaries(st.text(_JSON_CHARS), _JSON_SCALARS, min_size=1))
+def test_fit_json_equals_the_indent_2_encoder_property(payload):
+    """The C-encoder text of a flat object is exactly ``indent=2``'s."""
+    from gaussfit import cli
+
+    assert cli._flat_json(payload) == json.dumps(payload, indent=2, allow_nan=False) + "\n"
 
 
 @st.composite
@@ -578,6 +730,31 @@ def test_library_bench_loads_neither_process_pool_nor_cli():
                          text=True, env=env)
     assert res.returncode == 0, res.stderr
     assert res.stdout == "[]\n"
+
+
+_IMPORT_BUDGET = """
+import sys
+import numpy
+before = set(sys.modules)
+import gaussfit
+gaussfit.build_erf_table(0.1, 0.01, 991)
+print(sorted(m for m in set(sys.modules) - before if m.partition(".")[0] != "gaussfit"))
+"""
+
+# what gaussfit imports beyond numpy and itself
+_IMPORT_ALLOWLIST = {"__future__", "copy", "dataclasses"}
+
+
+def test_import_loads_nothing_beyond_numpy_and_an_allowlist():
+    """``import gaussfit`` and the default table, the benchmark's set-up
+    time, load no module that ``import numpy`` does not load, apart from
+    gaussfit's own and a few small stdlib ones: a new import shows at once
+    in every workload's ``setup_s``."""
+    env = dict(os.environ, PYTHONPATH=SRC, PYTHONDONTWRITEBYTECODE="1")
+    res = subprocess.run([sys.executable, "-c", _IMPORT_BUDGET], capture_output=True,
+                         text=True, env=env)
+    assert res.returncode == 0, res.stderr
+    assert set(ast.literal_eval(res.stdout)) <= _IMPORT_ALLOWLIST
 
 
 def test_import_does_not_load_orjson():
